@@ -2,8 +2,11 @@
 
 Four layers:
 
-* :mod:`qbounds.exact` -- rational Krawtchouk arithmetic, basis changes,
-  root isolation, and the weight-distribution transform;
+* :mod:`qbounds.exact` -- Krawtchouk polynomials from one three-term
+  recurrence: a cached integer table of P_t(i, n), the change between a
+  polynomial's values and its Krawtchouk coefficients, exact evaluation at
+  rational points, the smallest-root test by sign counting, and the
+  weight-distribution transform;
 * :mod:`qbounds.gf4` -- GF(4) additive codes in binary symplectic form,
   duals, distances, enumerators, standard form and classical reductions;
 * :mod:`qbounds.bounds` -- finite-length bounds (polynomial method, exact

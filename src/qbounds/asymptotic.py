@@ -150,17 +150,34 @@ def tabulated_bound(points: Sequence[tuple[float, float]]) -> ClassicalBound:
 
 
 def load_classical_bound_csv(path: str) -> ClassicalBound:
-    """Read a 'delta,rate' CSV (header required) into a rate bound."""
+    """Read a 'delta,rate' CSV (header required) into a rate bound.
+
+    Every defect, from an unreadable file to a malformed row, raises
+    ParameterError; a row's error names its line.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            numbered = [(i, line) for i, line in enumerate(handle, 1) if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read classical bound CSV {path!r}: {exc}") from exc
+    rows = zip((i for i, _ in numbered), csv.reader(line for _, line in numbered))
+    header = next(rows, None)
+    if header is None or [h.strip() for h in header[1][:2]] != ["delta", "rate"]:
+        raise ParameterError("classical bound CSV must start with 'delta,rate'")
     points: list[tuple[float, float]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(row for row in handle if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["delta", "rate"]:
-            raise ParameterError("classical bound CSV must start with 'delta,rate'")
-        for row in reader:
-            if not row:
-                continue
-            points.append((float(row[0]), float(row[1])))
+    for number, row in rows:
+        if not row:
+            continue
+        try:
+            point = (float(row[0]), float(row[1]))
+        except (IndexError, ValueError):
+            point = None
+        if point is None or not all(map(math.isfinite, point)):
+            raise ParameterError(
+                f"{path} line {number}: expected two finite numbers 'delta,rate', "
+                f"got {','.join(row)!r}"
+            )
+        points.append(point)
     return tabulated_bound(points)
 
 

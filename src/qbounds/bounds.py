@@ -16,6 +16,7 @@ is rounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +29,9 @@ from .exact import (
     binomial,
     compare_smallest_root,
     krawtchouk_eval,
-    krawtchouk_expand,
+    krawtchouk_table,
+    krawtchouk_values,
+    macwilliams_transform,
 )
 
 LP_SIZE_CAP = 16  # exact simplex at desk scale
@@ -106,9 +109,11 @@ class FeasiblePolynomial:
 
     ``accepted`` is False when any condition fails; every violated index is
     listed in ``violations``.  ``values`` records f(i) for i = 0 .. n.
+    ``f`` is None for the named bounds, which build ``values`` and
+    ``expansion`` directly and never form the power basis.
     """
 
-    f: ExactPolynomial
+    f: ExactPolynomial | None
     expansion: KrawtchoukExpansion
     n: int
     d: int
@@ -123,14 +128,24 @@ def check_conditions(f: ExactPolynomial, n: int, d: int) -> FeasiblePolynomial:
         raise ParameterError(f"polynomial ambient length {f.n} does not match n={n}")
     if not 1 <= d <= n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
-    expansion = krawtchouk_expand(f)
+    values = [f(i) for i in range(n + 1)]
+    return _sign_certificate(values, KrawtchoukExpansion.from_values(values, n, f.q), d, f)
+
+
+def _sign_certificate(
+    values: Sequence[Fraction],
+    expansion: KrawtchoukExpansion,
+    d: int,
+    f: ExactPolynomial | None = None,
+) -> FeasiblePolynomial:
+    """The conditions of :func:`check_conditions` on the values and coefficients of f."""
+    n = expansion.n
     violations: list[str] = []
     if expansion.coeffs[0] <= 0:
         violations.append(f"f_0 = {expansion.coeffs[0]} is not positive")
     for i in range(1, n + 1):
         if expansion.coeffs[i] < 0:
             violations.append(f"f_{i} = {expansion.coeffs[i]} is negative")
-    values = tuple(f(i) for i in range(n + 1))
     if values[0] <= 0:
         violations.append(f"f(0) = {values[0]} is not positive")
     for i in range(d, n + 1):
@@ -143,7 +158,7 @@ def check_conditions(f: ExactPolynomial, n: int, d: int) -> FeasiblePolynomial:
         d=d,
         accepted=not violations,
         violations=tuple(violations),
-        values=values,
+        values=tuple(values),
     )
 
 
@@ -180,7 +195,10 @@ def singleton_bound(n: int, d: int) -> BoundVerdict:
     """K <= 2^{n-2d+2} via the product polynomial; closed form asserted."""
     if not 1 <= d <= n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
-    fp = check_conditions(singleton_polynomial(n, d), n, d)
+    # the product at the integers 0 .. n; it vanishes from d on
+    top, den = Fraction(4) ** (n - d + 1), math.prod(range(d, n + 1))
+    values = [top * math.prod(j - i for j in range(d, n + 1)) / den for i in range(n + 1)]
+    fp = _sign_certificate(values, KrawtchoukExpansion.from_values(values, n), d)
     if not fp.accepted:
         raise InvariantError(
             "Singleton polynomial rejected: " + "; ".join(fp.violations)
@@ -210,8 +228,7 @@ def hamming_bound(n: int, d: int) -> BoundVerdict:
     e = (d - 1) // 2
     ball = sum(3**s * binomial(n, s) for s in range(e + 1))
     expansion = hamming_expansion(n, d)
-    f = expansion.synthesize()
-    fp = check_conditions(f, n, d)
+    fp = _sign_certificate(krawtchouk_values(expansion.coeffs, n), expansion, d)
     if not fp.accepted:
         raise InvariantError("Hamming polynomial rejected: " + "; ".join(fp.violations))
     if d == 2 * e + 1 and any(fp.values[i] != 0 for i in range(d, n + 1)):
@@ -385,8 +402,8 @@ def _lp_rows(n: int, d: int) -> tuple[list[list[Fraction]], int]:
     nb = n - d + 1
     ns = n - d + 1  # one surplus per inequality row t = d .. n
     rows = []
-    for t in range(n + 1):
-        row = [krawtchouk_eval(t, i, n) for i in range(d, n + 1)]
+    for t, values in enumerate(krawtchouk_table(n)):
+        row = [Fraction(v) for v in values[d:]]
         row += [_ZERO] * ns
         if t >= d:
             row[nb + (t - d)] = Fraction(-1)
@@ -404,8 +421,6 @@ def verify_lp_witness(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> boo
     if any(Fraction(B[i]) != 0 for i in range(1, d)):
         return False
     scale = (Fraction(2) ** n) * K
-    from .exact import macwilliams_transform
-
     A = macwilliams_transform(B, n, 4, scale)
     if A[0] != 1:
         return False
@@ -421,13 +436,10 @@ def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) ->
         return False
     if any(y[t] < 0 for t in range(d, n + 1)):
         return False
-
-    def f(x: int) -> Fraction:
-        return sum((y[t] * krawtchouk_eval(t, x, n) for t in range(n + 1)), _ZERO)
-
-    if any(f(i) > 0 for i in range(d, n + 1)):
+    values = krawtchouk_values(y, n)
+    if any(values[i] > 0 for i in range(d, n + 1)):
         return False
-    return f(0) < y[0] * (Fraction(2) ** n) * K
+    return values[0] < y[0] * (Fraction(2) ** n) * K
 
 
 def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
@@ -456,11 +468,8 @@ def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
         raise InvariantError(f"feasibility LP reported {sol.status}")
     assert sol.x is not None
     B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
-    A = None
     if not verify_lp_witness(n, K, d, B):
         raise InvariantError("simplex produced an invalid feasibility witness")
-    from .exact import macwilliams_transform
-
     A = macwilliams_transform(B, n, 4, scale)
     return LPVerdict(
         n=n, K=K, d=d, feasible=True, witness_B=tuple(B), witness_A=tuple(A)

@@ -31,6 +31,8 @@ EXIT_CAPACITY = 3
 
 CHECK_BOUNDS = ("singleton", "hamming", "levenshtein", "lp", "degenerate_hamming")
 DEFAULT_CHECK_BOUNDS = "singleton,hamming,levenshtein"
+# The slowest d at n = 200 takes under 1 s; the cost grows about as n^3.
+CHECK_SIZE_CAP = 200
 
 
 def _fmt(value) -> object:
@@ -101,6 +103,8 @@ def _flatten_csv(payload: dict, prefix: str = "") -> list[str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
+    if n > CHECK_SIZE_CAP:
+        raise CapacityError(f"n={n} exceeds the check cap {CHECK_SIZE_CAP}")
     if (args.k is None) == (args.K is None):
         print("check: provide exactly one of --k or --K", file=sys.stderr)
         return EXIT_USAGE

@@ -1,12 +1,8 @@
 """Exact rational arithmetic for Hamming-scheme polynomial machinery.
 
-Everything here is computed with ``fractions.Fraction``; no floating point
-is used anywhere in this module, so results are exact and usable as bound
-certificates.  Provided: binomials (including the falling-factorial
-binomial C(x, j) at arbitrary rational x), Krawtchouk polynomial
-evaluation over a q-letter alphabet, conversion between the power basis
-and the Krawtchouk basis, isolation of the smallest Krawtchouk root by
-Sturm-chain bisection, and the dual weight-distribution transform.
+Everything here is computed with integers and ``fractions.Fraction``; no
+floating point is used anywhere in this module, so results are exact and
+usable as bound certificates.
 
 The degree-t Krawtchouk polynomial used throughout is
 
@@ -16,6 +12,21 @@ a polynomial of exact degree t in x with leading coefficient
 (-1)^t q^t / t!.  Its n+1 members P_0 .. P_n are orthogonal under the
 weight (q-1)^x C(n, x) on {0, .., n}, which is the identity every other
 convention choice is validated against.
+
+One source supplies every value: the three-term recurrence
+
+    (t+1) P_{t+1}(x) = ((q-1)(n-t) + t - q x) P_t(x) - (q-1)(n-t+1) P_{t-1}(x).
+
+At the integers 0 .. n it fills the integer table P[t][i] = P_t(i, n)
+(cached, bounded), which drives point evaluation, the dual
+weight-distribution transform and the change between a polynomial's
+values f(0 .. n) and its Krawtchouk coefficients (the matrix
+M[i][t] = P_t(i, n) satisfies M^2 = q^n I).  At other rational x the same
+recurrence runs in Fractions, and in polynomial form it gives the
+power-basis coefficients.  Because (-1)^t P_t has a positive leading
+coefficient and the recurrence's last coefficient is negative, P_0 .. P_k
+is a Sturm sequence: its sign changes at x count the roots of P_k above
+x, which places x against the smallest root exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import ParameterError
@@ -33,6 +45,10 @@ Rational = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Integer tables kept at once.  A bound at length n reads the tables for n,
+# n-1 and n-2; one table at n = 200 holds about 4 MB.
+TABLE_CACHE_SIZE = 8
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention that out-of-range k gives 0."""
@@ -41,17 +57,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def falling_binomial(x: Fraction | int, j: int) -> Fraction:
-    """C(x, j) = x (x-1) ... (x-j+1) / j! as a polynomial in rational x."""
-    if j < 0:
-        return _ZERO
-    num = _ONE
-    x = Fraction(x)
-    for t in range(j):
-        num *= x - t
-    return num / math.factorial(j)
 
 
 # ---------------------------------------------------------------------------
@@ -99,24 +104,6 @@ def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _poly_deriv(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return _trim([coeffs[i] * i for i in range(1, len(coeffs))])
-
-
-def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
-    """Remainder of polynomial division; den must be nonzero."""
-    rem = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    while len(rem) - 1 >= dn and rem:
-        factor = rem[-1] / lead
-        shift = len(rem) - 1 - dn
-        for i, dv in enumerate(den):
-            rem[shift + i] -= factor * dv
-        _trim(rem)
-    return rem
-
-
 # ---------------------------------------------------------------------------
 # Krawtchouk polynomials
 # ---------------------------------------------------------------------------
@@ -131,59 +118,63 @@ def _validate_tnq(t: int, n: int, q: int) -> None:
         raise ParameterError(f"Krawtchouk degree t={t} outside [0, n={n}]")
 
 
-@lru_cache(maxsize=None)
-def _falling_poly(j: int) -> tuple[Fraction, ...]:
-    """Power-basis coefficients of C(x, j)."""
-    coeffs: list[Fraction] = [_ONE]
-    for t in range(j):
-        coeffs = _poly_mul(coeffs, [Fraction(-t), _ONE])
-    return tuple(_poly_scale(coeffs, Fraction(1, math.factorial(j))))
+def _recurrence(k: int, x: int | Fraction, n: int, q: int) -> list:
+    """P_0(x) .. P_k(x); ints for int x (the division is exact), else Fractions."""
+    values, prev = [1], 0
+    for t in range(k):
+        step = ((q - 1) * (n - t) + t - q * x) * values[t] - (q - 1) * (n - t + 1) * prev
+        prev = values[t]
+        values.append(step // (t + 1) if isinstance(step, int) else step / (t + 1))
+    return values
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def krawtchouk_table(n: int, q: int = 4) -> tuple[tuple[int, ...], ...]:
+    """The integer table P[t][i] = P_t(i, n) for 0 <= t, i <= n."""
+    _validate_tnq(0, n, q)
+    return tuple(zip(*(_recurrence(n, i, n, q) for i in range(n + 1))))
+
+
+def _column(k: int, x: Fraction, n: int, q: int) -> list:
+    """P_0(x) .. P_k(x): from the table at integer x in [0, n], else by the recurrence."""
+    if x.denominator == 1 and 0 <= x <= n:
+        table = krawtchouk_table(n, q)
+        return [table[t][x.numerator] for t in range(k + 1)]
+    return _recurrence(k, x, n, q)
+
+
 def krawtchouk_coeffs(t: int, n: int, q: int = 4) -> tuple[Fraction, ...]:
     """Power-basis coefficients of P_t(x, n), length t+1."""
     _validate_tnq(t, n, q)
-    total: list[Fraction] = []
-    for j in range(t + 1):
-        # C(n-x, t-j) = C(-(x-n), t-j): substitute into the falling poly.
-        m = t - j
-        cnx: list[Fraction] = [_ONE]
-        for s in range(m):
-            cnx = _poly_mul(cnx, [Fraction(n - s), Fraction(-1)])
-        cnx = _poly_scale(cnx, Fraction(1, math.factorial(m)))
-        term = _poly_mul(list(_falling_poly(j)), cnx)
-        scale = Fraction((-1) ** j * (q - 1) ** m)
-        total = _poly_add(total, _poly_scale(term, scale))
-    return tuple(total)
-
-
-@lru_cache(maxsize=None)
-def _krawtchouk_int(t: int, x: int, n: int, q: int) -> Fraction:
-    acc = _ZERO
-    for j in range(t + 1):
-        acc += (
-            Fraction((-1) ** j * (q - 1) ** (t - j))
-            * falling_binomial(x, j)
-            * falling_binomial(n - x, t - j)
+    prev: list[Fraction] = []
+    cur = [_ONE]
+    for s in range(t):
+        step = _poly_add(
+            _poly_mul([Fraction((q - 1) * (n - s) + s), Fraction(-q)], cur),
+            _poly_scale(prev, Fraction(-(q - 1) * (n - s + 1))),
         )
-    return acc
+        prev, cur = cur, _poly_scale(step, Fraction(1, s + 1))
+    return tuple(cur)
 
 
 def krawtchouk_eval(t: int, x: Fraction | int, n: int, q: int = 4) -> Fraction:
     """Exact value of the degree-t Krawtchouk polynomial at rational x."""
     _validate_tnq(t, n, q)
-    x = Fraction(x)
-    if x.denominator == 1:
-        return _krawtchouk_int(t, x.numerator, n, q)
-    acc = _ZERO
-    for j in range(t + 1):
-        acc += (
-            Fraction((-1) ** j * (q - 1) ** (t - j))
-            * falling_binomial(x, j)
-            * falling_binomial(n - x, t - j)
-        )
-    return acc
+    return Fraction(_column(t, Fraction(x), n, q)[t])
+
+
+def krawtchouk_values(
+    coeffs: Sequence[Fraction | int], n: int, q: int = 4, scale: Fraction | int = 1
+) -> list[Fraction]:
+    """f(0) .. f(n), divided by scale, for f = sum_t coeffs[t] P_t(x, n).
+
+    M[i][t] = P_t(i, n) squares to q^n I, so applied to the values f(0 .. n)
+    with scale = q^n this returns the Krawtchouk coefficients of f.
+    """
+    if len(coeffs) != n + 1:
+        raise ParameterError(f"expected {n + 1} entries, got {len(coeffs)}")
+    coeffs = [Fraction(c) for c in coeffs]
+    return [sum(map(mul, column, coeffs)) / scale for column in zip(*krawtchouk_table(n, q))]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +231,13 @@ class KrawtchoukExpansion:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def from_values(
+        cls, values: Sequence[Fraction | int], n: int, q: int = 4
+    ) -> "KrawtchoukExpansion":
+        """The expansion of the degree-<=n polynomial taking these values at 0 .. n."""
+        return cls(tuple(krawtchouk_values(values, n, q, q**n)), n, q)
+
     def synthesize(self) -> ExactPolynomial:
         """Re-expand into the power basis: sum f_t P_t(x, n)."""
         total: list[Fraction] = []
@@ -253,61 +251,19 @@ class KrawtchoukExpansion:
 
 
 def krawtchouk_expand(f: ExactPolynomial) -> KrawtchoukExpansion:
-    """Expand f in the Krawtchouk basis by exact triangular back-substitution.
+    """Expand f in the Krawtchouk basis from its values at 0 .. n.
 
-    P_t has exact degree t, so the change of basis is upper triangular and
-    solvable from the top degree down.
+    A polynomial of degree <= n is fixed by those n+1 values, and the
+    integer table inverts the evaluation map exactly.
     """
     if f.degree > f.n:
         raise ParameterError(f"degree {f.degree} exceeds ambient length {f.n}")
-    work = list(f.coeffs) + [_ZERO] * (f.n + 1 - len(f.coeffs))
-    out = [_ZERO] * (f.n + 1)
-    for t in range(f.n, -1, -1):
-        if work[t] == 0:
-            continue
-        pt = krawtchouk_coeffs(t, f.n, f.q)
-        ft = work[t] / pt[t]
-        out[t] = ft
-        for i, c in enumerate(pt):
-            work[i] -= ft * c
-    if any(work):
-        raise ParameterError("expansion failed to terminate; malformed input")
-    return KrawtchoukExpansion(tuple(out), f.n, f.q)
+    return KrawtchoukExpansion.from_values([f(i) for i in range(f.n + 1)], f.n, f.q)
 
 
 # ---------------------------------------------------------------------------
-# root isolation (Sturm chains, exact sign bisection)
+# the smallest root
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _sturm_chain(t: int, n: int, q: int) -> tuple[tuple[Fraction, ...], ...]:
-    p0 = list(krawtchouk_coeffs(t, n, q))
-    chain = [p0, _poly_deriv(p0)]
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return tuple(tuple(p) for p in chain)
-
-
-def _sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v > 0:
-            signs.append(1)
-        elif v < 0:
-            signs.append(-1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _roots_in_halfopen(
-    chain: Sequence[Sequence[Fraction]], a: Fraction, b: Fraction
-) -> int:
-    """Number of distinct real roots in (a, b]; requires p(a) != 0."""
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
 def krawtchouk_smallest_root(
@@ -328,20 +284,17 @@ def krawtchouk_smallest_root(
     if k == 1:
         root = Fraction((q - 1) * n, q)
         return (root, root)
-    poly = krawtchouk_coeffs(k, n, q)
-    chain = _sturm_chain(k, n, q)
     lo, hi = Fraction(0), Fraction(n)
-    # invariant: p(lo) != 0, no roots in (0, lo], smallest root in (lo, hi]
+    # invariant: lo below the smallest root, hi above it
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if _poly_eval(poly, mid) == 0:
-            if _roots_in_halfopen(chain, Fraction(0), mid) == 1:
-                return (mid, mid)
-            hi = mid
-        elif _roots_in_halfopen(chain, lo, mid) >= 1:
-            hi = mid
-        else:
+        side = compare_smallest_root(k, n, q, mid)
+        if side == 0:
+            return (mid, mid)
+        if side < 0:
             lo = mid
+        else:
+            hi = mid
     return (lo, hi)
 
 
@@ -349,20 +302,24 @@ def compare_smallest_root(k: int, n: int, q: int, x: Fraction | int) -> int:
     """Trichotomy of rational x against the smallest root of P_k(x, n).
 
     Returns -1 when x is strictly below the smallest root, 0 when x equals
-    it exactly, +1 when strictly above.  Exact: decided by Sturm counting,
-    never by an approximation.
+    it exactly, +1 when strictly above.  Exact: decided by the signs of
+    P_0(x) .. P_k(x), never by an approximation.
+
+    When P_k(x) != 0, the sign changes of (-1)^t P_t(x), t = 0 .. k, count
+    the roots of P_k above x, so x is below all k of them exactly when
+    every P_t(x) is positive.  When P_k(x) = 0, the roots of P_{k-1}
+    interlace those of P_k, so x is the smallest root exactly when it lies
+    below all roots of P_{k-1}.
     """
     if k == 0:
         raise ParameterError("P_0 is constant and has no roots")
     _validate_tnq(k, n, q)
-    x = Fraction(x)
-    if x <= 0:
+    values = _column(k, Fraction(x), n, q)
+    if all(v > 0 for v in values):
         return -1
-    chain = _sturm_chain(k, n, q)
-    poly = krawtchouk_coeffs(k, n, q)
-    if _poly_eval(poly, x) == 0:
-        return 0 if _roots_in_halfopen(chain, Fraction(0), x) == 1 else 1
-    return -1 if _roots_in_halfopen(chain, Fraction(0), x) == 0 else 1
+    if values[k] == 0 and all(v > 0 for v in values[:k]):
+        return 0
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +345,4 @@ def macwilliams_transform(
     if len(B) != n + 1:
         raise ParameterError(f"expected {n + 1} entries, got {len(B)}")
     bb = [Fraction(v) for v in B]
-    return [
-        sum((bb[i] * krawtchouk_eval(t, i, n, q) for i in range(n + 1)), _ZERO) / scale
-        for t in range(n + 1)
-    ]
+    return [sum(map(mul, row, bb)) / scale for row in krawtchouk_table(n, q)]

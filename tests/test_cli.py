@@ -1,11 +1,34 @@
 """Command-line surface: payloads, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from qbounds.cli import main
-from qbounds.selftest import fixture_text
+from qbounds.cli import CHECK_SIZE_CAP, main
+from qbounds.selftest import fixture_manifest, fixture_text
+
+# sha256 of stdout, recorded from the power-basis / Sturm-chain implementation
+# that the integer Krawtchouk table replaced; output must stay byte-identical.
+GOLDEN_TABLE = "8ffdf7e783464fe33d97e9f0f97ba7edd0bcae645a600f0071da78950588b7da"
+GOLDEN_CHECK = {
+    2: "1e1a0013f49f8637a43115984ede5dec865cd1986e0c2e1b5f9ace79a02dbe0d",
+    3: "f8141bfc4e96a353bbb9438ce10e2e084f2bd8fb0dac3a59a6f697c005c721e5",
+    4: "472b9b96ca7d5f519c63d9c35bb8f401572ec075311c4df307a4cf72d1856c04",
+    5: "239f385d79bbf98c8b4118450fb3049e2aa121b9b22d7484410612b462925475",
+    6: "37b5ae5fb7bb43e48dbd66c6ed5aaf785adac68bed1734d1227ea208aa10eb54",
+    7: "dd24e100ffdddcc8f739da010e4110a054f000c71d5b7e8b9d84abd2b4e8e6e5",
+    8: "392bb3cf467e65c287e979da593b25facc3dcf66ec2e11a4f578296e373fa27c",
+    9: "d9c26ba8abfc58f1d2f77d7eef9a5893992940bbde7764240090f15985cea677",
+    10: "de0ac3e6306f29eeba3e4fcd3601ed008dc2c861db75acfb7f01ef316fbced9e",
+}
+GOLDEN_ANALYZE = {
+    "c422.code": "732b8b58496304fd59cfc50fd6e58469261dfe17c79a80702a929ca1c8ad9a12",
+    "five_qubit.code": "e5dd7fb658f23b3db191f7e7ef51f65b9a7dfa8fad1c71d626aaa95b012ea360",
+    "omega_line.code": "176111f46b3a98fe816c6704e3f4d55eb194d0a456a496f18afac4b919319bbd",
+    "steane.code": "f9b8c7ea7069380c33b1007a63021628b52affe8ebcf4860ffb62bd9c92a4397",
+    "xx_zz.code": "32b782c6bd94b83ca0eea18834e6075077eaf6e5b8061a91c1aee6eff52acd88",
+}
 
 
 @pytest.fixture()
@@ -62,6 +85,39 @@ def test_check_flag_validation(capsys):
                "--bounds", "")[0] == 2
     assert run(capsys, "check", "--n", "5", "--k", "1", "--d", "3",
                "--bounds", "nope")[0] == 2
+
+
+def stdout_digest(capsys, *argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_golden_table(capsys):
+    assert stdout_digest(capsys, "table", "--n-max", "12", "--d-max", "6",
+                         "--bounds", "singleton,hamming,levenshtein,lp") == GOLDEN_TABLE
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN_CHECK))
+def test_golden_check(capsys, d):
+    assert stdout_digest(capsys, "check", "--n", "20", "--K", "7/3", "--d", str(d),
+                         "--bounds", "singleton,hamming,levenshtein") == GOLDEN_CHECK[d]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+def test_golden_analyze(capsys, tmp_path, monkeypatch, name):
+    assert sorted(GOLDEN_ANALYZE) == sorted(fixture_manifest())
+    # a relative path, so the echoed file name does not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(fixture_text(name), encoding="utf-8")
+    assert stdout_digest(capsys, "analyze", name) == GOLDEN_ANALYZE[name]
+
+
+def test_check_size_cap_exit(capsys):
+    code, _, err = run(capsys, "check", "--n", str(CHECK_SIZE_CAP + 1), "--k", "1",
+                       "--d", "3")
+    assert code == 3
+    assert err.startswith("capacity:") and len(err.strip().splitlines()) == 1
 
 
 def test_check_lp_capacity_exit(capsys):
@@ -175,6 +231,22 @@ def test_curves_classical_bound_plugin(capsys, tmp_path):
                        "--classical-bound", str(table))
     assert code == 0
     assert f"table:{table}" in out
+
+
+@pytest.mark.parametrize("body,fragment", [
+    (None, "cannot read"),
+    ("delta,rate\n0.0,1.0\n0.5,abc\n", "line 3"),
+    ("delta,rate\n# comment\n0.1\n0.75,0.0\n", "line 3"),
+])
+def test_curves_classical_bound_errors(capsys, tmp_path, body, fragment):
+    table = tmp_path / "classical.csv"
+    if body is not None:
+        table.write_text(body, encoding="utf-8")
+    code, out, err = run(capsys, "curves", "--id", "E", "--samples", "20",
+                         "--classical-bound", str(table))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and fragment in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_curves_deterministic(capsys):

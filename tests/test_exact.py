@@ -6,17 +6,23 @@ from fractions import Fraction as F
 
 import pytest
 
+from krawtchouk_oracle import (
+    compare_smallest_root_sturm,
+    falling_binomial,
+    krawtchouk_power_coeffs,
+    krawtchouk_sum,
+)
 from qbounds.errors import ParameterError
 from qbounds.exact import (
     ExactPolynomial,
     KrawtchoukExpansion,
     binomial,
     compare_smallest_root,
-    falling_binomial,
     krawtchouk_coeffs,
     krawtchouk_eval,
     krawtchouk_expand,
     krawtchouk_smallest_root,
+    krawtchouk_table,
     macwilliams_transform,
 )
 
@@ -60,6 +66,37 @@ def test_krawtchouk_linear_case():
         x = F(rng.randint(-20, 40), rng.randint(1, 9))
         assert krawtchouk_eval(1, x, n, q) == (q - 1) * n - q * x
     assert krawtchouk_eval(1, 2, 5) == 7
+
+
+def test_table_matches_defining_sum():
+    for n in range(31):
+        table = krawtchouk_table(n)
+        assert len(table) == n + 1
+        for t, row in enumerate(table):
+            assert list(row) == [krawtchouk_sum(t, i, n) for i in range(n + 1)], (n, t)
+    for q in (2, 3, 5):
+        for n in range(9):
+            table = krawtchouk_table(n, q)
+            for t, row in enumerate(table):
+                assert list(row) == [krawtchouk_sum(t, i, n, q) for i in range(n + 1)]
+
+
+def test_recurrence_off_the_table_matches_defining_sum():
+    # rational points and integers outside [0, n] take the Fraction recurrence
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(0, 14)
+        q = rng.choice((2, 3, 4))
+        t = rng.randint(0, n)
+        x = F(rng.randint(-30, 60), rng.choice((1, 1, 2, 3, 7)))
+        assert krawtchouk_eval(t, x, n, q) == krawtchouk_sum(t, x, n, q), (t, x, n, q)
+
+
+def test_coeffs_match_defining_sum():
+    for q in (2, 4):
+        for n in range(11):
+            for t in range(n + 1):
+                assert list(krawtchouk_coeffs(t, n, q)) == krawtchouk_power_coeffs(t, n, q)
 
 
 def test_krawtchouk_rejects_degree_above_n():
@@ -162,6 +199,20 @@ def test_smallest_root_bracket_properties(k, n):
 def test_smallest_root_rejects_constant():
     with pytest.raises(ParameterError):
         krawtchouk_smallest_root(0, 5)
+
+
+def test_compare_smallest_root_matches_sturm_oracle():
+    points = exact_roots = 0
+    for n in range(1, 15):
+        grid = [F(j, 4) for j in range(-2, 4 * n + 3)]
+        for k in range(1, n + 1):
+            for x in grid:
+                expected = compare_smallest_root_sturm(k, n, 4, x)
+                assert compare_smallest_root(k, n, 4, x) == expected, (k, n, x)
+                points += 1
+                exact_roots += krawtchouk_eval(k, x, n) == 0
+    assert points == 4585
+    assert exact_roots > 0  # the interlacing case is exercised
 
 
 def test_compare_smallest_root_trichotomy():

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from qbounds.bounds import LP_SIZE_CAP
 from qbounds.cli import CHECK_SIZE_CAP, main
 from qbounds.selftest import fixture_manifest, fixture_text
 
@@ -28,6 +30,19 @@ GOLDEN_ANALYZE = {
     "omega_line.code": "176111f46b3a98fe816c6704e3f4d55eb194d0a456a496f18afac4b919319bbd",
     "steane.code": "f9b8c7ea7069380c33b1007a63021628b52affe8ebcf4860ffb62bd9c92a4397",
     "xx_zz.code": "32b782c6bd94b83ca0eea18834e6075077eaf6e5b8061a91c1aee6eff52acd88",
+}
+
+# sha256 of the concatenated stdout of `lp` at d = 2..4, each with K = 1 (feasible
+# except at (5, 4), which admits no K) and K = Singleton ceiling + 1/2 (infeasible),
+# recorded from the Fraction-tableau simplex that fraction-free pivoting replaced:
+# witnesses and certificates must stay byte-identical.
+GOLDEN_LP = {
+    5: "020e3ca84b22dd8883c445c763ff4acd7f5ccd3a2b0f4738c8f10b01a435bec5",
+    6: "81b658be03ffc1a49ae7c3d9ccaba5c775e40114e9d02648b711e52619a8cb51",
+    7: "2fb809305ae671bfe5efc1df6b79e307a38808a25c6fd1878f23d74433cbad97",
+    8: "dc3160ce350f3c044e7c1daaff15d5536af315b257817eacf90d8c320db9a915",
+    9: "17c8e4802de95a21b178773621fb2ee6a9ed31495a03a7c4f34fd2d30bdc249e",
+    10: "32a49584d363d01b46eecc676c37356c4e7b3c9d88a8b11490f8caf8db339ff9",
 }
 
 
@@ -113,6 +128,17 @@ def test_golden_analyze(capsys, tmp_path, monkeypatch, name):
     assert stdout_digest(capsys, "analyze", name) == GOLDEN_ANALYZE[name]
 
 
+@pytest.mark.parametrize("n", sorted(GOLDEN_LP))
+def test_golden_lp(capsys, n):
+    outs = []
+    for d in range(2, 5):
+        for K in (F(1), F(2) ** (n - 2 * d + 2) + F(1, 2)):
+            code, out, _ = run(capsys, "lp", "--n", str(n), "--K", str(K), "--d", str(d))
+            assert code == 0
+            outs.append(out)
+    assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == GOLDEN_LP[n]
+
+
 def test_check_size_cap_exit(capsys):
     code, _, err = run(capsys, "check", "--n", str(CHECK_SIZE_CAP + 1), "--k", "1",
                        "--d", "3")
@@ -121,8 +147,8 @@ def test_check_size_cap_exit(capsys):
 
 
 def test_check_lp_capacity_exit(capsys):
-    code, _, err = run(capsys, "check", "--n", "20", "--k", "1", "--d", "3",
-                       "--bounds", "lp")
+    code, _, err = run(capsys, "check", "--n", str(LP_SIZE_CAP + 1), "--k", "1",
+                       "--d", "3", "--bounds", "lp")
     assert code == 3 and "cap" in err
 
 
@@ -146,7 +172,7 @@ def test_table_empty_bounds_usage_error(capsys):
 def test_table_capacity_exits(capsys):
     assert run(capsys, "table", "--n-max", "31", "--d-max", "3",
                "--bounds", "singleton")[0] == 3
-    assert run(capsys, "table", "--n-max", "17", "--d-max", "3",
+    assert run(capsys, "table", "--n-max", str(LP_SIZE_CAP + 1), "--d-max", "3",
                "--bounds", "lp")[0] == 3
 
 

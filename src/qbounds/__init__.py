@@ -8,7 +8,8 @@ Four layers:
   rational points, the smallest-root test by sign counting, and the
   weight-distribution transform;
 * :mod:`qbounds.gf4` -- GF(4) additive codes in binary symplectic form,
-  duals, distances, enumerators, standard form and classical reductions;
+  duals, weight distributions and the enumerator pair (every distance is
+  read off a distribution), standard form and classical reductions;
 * :mod:`qbounds.bounds` -- finite-length bounds (polynomial method, exact
   LP feasibility, mixed sphere packing);
 * :mod:`qbounds.asymptotic` -- rate/distance curves (the only module that

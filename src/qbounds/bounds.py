@@ -306,6 +306,21 @@ def levenshtein_bound(n: int, d: int) -> BoundVerdict:
             inputs=inputs,
         )
 
+    def scaled(value: Fraction | None) -> Fraction | None:
+        return None if value is None else 4 * value
+
+    def boundary(inner: Fraction | None, outer: Fraction | None) -> BoundVerdict:
+        candidates = [v for v in (inner, outer) if v is not None]
+        if not candidates:
+            return finish(None)
+        return finish(
+            max(candidates),
+            notes=(
+                f"x=d lies exactly on a branch boundary; adjacent branch "
+                f"values {inner} and {outer}, the weaker one used",
+            ),
+        )
+
     for k in range(1, n):
         # odd-type branch: d_k(n-1) + 1 < x < d_{k-1}(n-2) + 1
         if k <= n - 1:
@@ -315,54 +330,18 @@ def levenshtein_bound(n: int, d: int) -> BoundVerdict:
                 return finish(_lev_value(k, n, d))
             if lower == 0:
                 # boundary shared with the even-type branch of the same k
-                inner = _lev_value(k, n, d)
-                outer = _lev_value(k, n - 1, d)
-                outer = None if outer is None else 4 * outer
-                candidates = [v for v in (inner, outer) if v is not None]
-                if not candidates:
-                    return finish(None)
-                return finish(
-                    max(candidates),
-                    notes=(
-                        f"x=d lies exactly on a branch boundary; adjacent branch "
-                        f"values {inner} and {outer}, the weaker one used",
-                    ),
-                )
+                return boundary(_lev_value(k, n, d), scaled(_lev_value(k, n - 1, d)))
             if upper == 0:
-                inner = _lev_value(k, n, d)
-                outer = _lev_value(k - 1, n - 1, d)
-                outer = None if outer is None else 4 * outer
-                candidates = [v for v in (inner, outer) if v is not None]
-                if not candidates:
-                    return finish(None)
-                return finish(
-                    max(candidates),
-                    notes=(
-                        f"x=d lies exactly on a branch boundary; adjacent branch "
-                        f"values {inner} and {outer}, the weaker one used",
-                    ),
-                )
+                return boundary(_lev_value(k, n, d), scaled(_lev_value(k - 1, n - 1, d)))
         # even-type branch: d_k(n-2) + 1 < x < d_k(n-1) + 1
         if k <= n - 2:
             lower = compare_smallest_root(k, n - 2, 4, d - 1)
             upper = compare_smallest_root(k, n - 1, 4, d - 1)
             if lower > 0 and upper < 0:
-                value = _lev_value(k, n - 1, d)
-                return finish(None if value is None else 4 * value)
+                return finish(scaled(_lev_value(k, n - 1, d)))
             if lower == 0:
-                inner = _lev_value(k, n - 1, d)
-                inner = None if inner is None else 4 * inner
                 outer = _lev_value(k + 1, n, d) if k + 1 <= n - 1 else None
-                candidates = [v for v in (inner, outer) if v is not None]
-                if not candidates:
-                    return finish(None)
-                return finish(
-                    max(candidates),
-                    notes=(
-                        f"x=d lies exactly on a branch boundary; adjacent branch "
-                        f"values {inner} and {outer}, the weaker one used",
-                    ),
-                )
+                return boundary(scaled(_lev_value(k, n - 1, d)), outer)
     return BoundVerdict(
         bound_name="levenshtein",
         applicable=False,

@@ -109,6 +109,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("check: provide exactly one of --k or --K", file=sys.stderr)
         return EXIT_USAGE
     K = Fraction(2) ** args.k if args.k is not None else _parse_rational(args.K)
+    if K <= 0:
+        print(f"check: K must be positive, got {K}", file=sys.stderr)
+        return EXIT_USAGE
     names = [b.strip() for b in args.bounds.split(",") if b.strip()]
     if not names:
         print("check: empty bound list", file=sys.stderr)
@@ -212,10 +215,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"analyze: {args.code_file}: not UTF-8 ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
+        return EXIT_USAGE
     code = gf4.parse_code(text)
-    params = gf4.quantum_distance(code)
-    sf = gf4.standard_form(code)
     pair = gf4.enumerators(code)
+    params = pair.params
+    sf = gf4.standard_form(code)
     payload = {
         "file": args.code_file,
         "n": params.n,

@@ -282,18 +282,6 @@ def symplectic_dual(code: AdditiveCode) -> AdditiveCode:
     return AdditiveCode(code.n, tuple(basis))
 
 
-def _extend_basis(base: Sequence[int], candidates: Iterable[int]) -> list[int]:
-    """Rows from candidates extending span(base), reduced, in given order."""
-    basis = {row.bit_length() - 1: row for row in gf2_echelon(base)}
-    extra: list[int] = []
-    for cand in candidates:
-        r = _reduce_by(cand, basis)
-        if r:
-            extra.append(r)
-            basis[r.bit_length() - 1] = r
-    return extra
-
-
 @dataclass(frozen=True)
 class QuantumParams:
     """Stabilizer parameters recovered from a self-orthogonal code."""
@@ -312,49 +300,6 @@ def _require_self_orthogonal(code: AdditiveCode) -> None:
         raise StructureError("self-orthogonal code cannot have rank above n")
 
 
-def quantum_distance(code: AdditiveCode) -> QuantumParams:
-    """Distance of the stabilizer code attached to a self-orthogonal C.
-
-    d is the minimum symplectic weight over dual(C) \\ C; for k = 0 (C equal
-    to its own dual) the convention is the minimum nonzero weight of C
-    itself.  ``degenerate`` records whether C contains a nonzero word of
-    weight below d.
-    """
-    _require_self_orthogonal(code)
-    n = code.n
-    k = n - code.rank
-    dual = symplectic_dual(code)
-    if dual.rank > ENUMERATION_CAP:
-        raise CapacityError(
-            f"dual rank {dual.rank} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
-    min_c = None
-    for w in code.words():
-        if w:
-            wt = symplectic_weight(w, n)
-            if min_c is None or wt < min_c:
-                min_c = wt
-    if k == 0:
-        if min_c is None:
-            raise StructureError("trivial code of length 0 has no distance")
-        return QuantumParams(n, 0, 1, min_c, False)
-    complement = _extend_basis(code.echelon, dual.generators)
-    if len(complement) != 2 * k:
-        raise InvariantError("complement basis has wrong rank")
-    cwords = list(code.words())
-    d = None
-    for w in iter_span(complement):
-        if not w:
-            continue
-        for c in cwords:
-            wt = symplectic_weight(w ^ c, n)
-            if d is None or wt < d:
-                d = wt
-    assert d is not None
-    degenerate = min_c is not None and min_c < d
-    return QuantumParams(n, k, 1 << k, d, degenerate)
-
-
 def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
     """Counts of code words by symplectic weight; entry 0 equals 1."""
     counts = [0] * (code.n + 1)
@@ -363,25 +308,43 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _first_nonzero_weight(distribution: Sequence[int]) -> int | None:
+    return next((i for i in range(1, len(distribution)) if distribution[i]), None)
+
+
 @dataclass(frozen=True)
 class EnumeratorPair:
     """Weight distributions A of C and B of dual(C), with K = 2**k.
 
     The pair satisfies A_t = (1/(2^n K)) sum_i B_i P_t(i, n) exactly; the
     constructor path in :func:`enumerators` verifies this before returning.
+    C lies in its dual, so B_i - A_i counts the words of dual(C) \\ C of
+    weight i: :attr:`params` reads the quantum distance off the pair.
     """
 
     A: tuple[int, ...]
     B: tuple[int, ...]
     K: int
 
+    @property
+    def params(self) -> QuantumParams:
+        """d = min{i : B_i > A_i}, or the least nonzero weight of C when k = 0."""
+        n = len(self.A) - 1
+        k = self.K.bit_length() - 1
+        min_c = _first_nonzero_weight(self.A)
+        if k == 0:
+            return QuantumParams(n, 0, 1, min_c, False)
+        d = next(i for i in range(n + 1) if self.B[i] > self.A[i])
+        return QuantumParams(n, k, self.K, d, min_c is not None and min_c < d)
+
 
 def enumerators(code: AdditiveCode) -> EnumeratorPair:
     _require_self_orthogonal(code)
     n = code.n
     k = n - code.rank
-    A = weight_distribution(code)
+    # dual(C) is never smaller than C, so its cap check comes first
     B = weight_distribution(symplectic_dual(code))
+    A = weight_distribution(code)
     K = 1 << k
     scale = (1 << n) * K
     transformed = macwilliams_transform(B, n, 4, scale)
@@ -390,6 +353,17 @@ def enumerators(code: AdditiveCode) -> EnumeratorPair:
             f"enumerator transform identity failed: {A} != {transformed}"
         )
     return EnumeratorPair(A, B, K)
+
+
+def quantum_distance(code: AdditiveCode) -> QuantumParams:
+    """Stabilizer parameters of a self-orthogonal C, read off its enumerators.
+
+    d is the minimum symplectic weight over dual(C) \\ C, the least i with
+    B_i > A_i; for k = 0 (C equal to its own dual) the convention is the
+    minimum nonzero weight of C itself.  ``degenerate`` records whether C
+    contains a nonzero word of weight below d.
+    """
+    return enumerators(code).params
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +551,20 @@ class ComplementaryCode:
     k1: int
 
 
+def _complement_basis(code: AdditiveCode) -> list[int]:
+    """2k rows that extend C to dual(C), each reduced modulo C."""
+    basis = {row.bit_length() - 1: row for row in code.echelon}
+    extra: list[int] = []
+    for cand in symplectic_dual(code).generators:
+        r = _reduce_by(cand, basis)
+        if r:
+            extra.append(r)
+            basis[r.bit_length() - 1] = r
+    if len(extra) != 2 * (code.n - code.rank):
+        raise InvariantError("complement basis has wrong rank")
+    return extra
+
+
 def complementary_code(
     code: AdditiveCode, sf: StandardForm | None = None
 ) -> ComplementaryCode | None:
@@ -588,13 +576,9 @@ def complementary_code(
         return None
     if sf is None:
         sf = standard_form(code)
-    dual = symplectic_dual(code)
-    raw = _extend_basis(code.echelon, dual.generators)
-    if len(raw) != 2 * k:
-        raise InvariantError("complement basis has wrong rank")
     k0, k1 = sf.k0, sf.k1
     reduced: list[list[int]] = []
-    for v in raw:
+    for v in _complement_basis(code):
         syms = int_to_symbols(v, n)
         row = [syms[orig] for orig in sf.permutation]
         for j in range(k0):
@@ -631,12 +615,7 @@ def complementary_code(
 
 def min_nonzero_weight(code: AdditiveCode) -> int:
     """Minimum symplectic weight over the nonzero words (exhaustive)."""
-    best = None
-    for w in code.words():
-        if w:
-            wt = symplectic_weight(w, code.n)
-            if best is None or wt < best:
-                best = wt
+    best = _first_nonzero_weight(weight_distribution(code))
     if best is None:
         raise ParameterError("trivial code has no nonzero words")
     return best
@@ -790,8 +769,6 @@ def binary_s_code(code: AdditiveCode) -> BinarySCode | None:
     k = n - code.rank
     if k == 0:
         return None
-    if 2 * k > ENUMERATION_CAP:
-        raise CapacityError(f"dimension 2k={2 * k} exceeds cap {ENUMERATION_CAP}")
 
     # RREF of the binary generator matrix, X columns first then Z columns.
     pivot_rows: dict[int, int] = {}  # bit position -> reduced row
@@ -809,12 +786,8 @@ def binary_s_code(code: AdditiveCode) -> BinarySCode | None:
                 pivot_rows[key] = prow ^ row
         pivot_rows[bit] = row
 
-    dual = symplectic_dual(code)
-    complement = _extend_basis(code.echelon, dual.generators)
-    if len(complement) != 2 * k:
-        raise InvariantError("complement basis has wrong rank")
     reduced = []
-    for w in complement:
+    for w in _complement_basis(code):
         for bit, prow in pivot_rows.items():
             if (w >> bit) & 1:
                 w ^= prow
@@ -832,14 +805,8 @@ def binary_s_code(code: AdditiveCode) -> BinarySCode | None:
         rows.append(packed)
     if gf2_rank(rows) != 2 * k:
         raise InvariantError("binary reduction rows are dependent")
-
-    distance = None
-    for w in iter_span(rows):
-        if w:
-            wt = w.bit_count()
-            if distance is None or wt < distance:
-                distance = wt
-    assert distance is not None
+    # the rows fill only the X half, where symplectic weight is Hamming weight
+    distance = min_nonzero_weight(AdditiveCode(n + k, tuple(rows)))
     return BinarySCode(length=n + k, dimension=2 * k, rows=tuple(rows), distance=distance)
 
 

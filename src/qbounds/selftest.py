@@ -68,7 +68,8 @@ def check_fixtures() -> Check:
     problems = []
     for name, expected in sorted(manifest.items()):
         code = gf4.parse_code(fixture_text(name))
-        params = gf4.quantum_distance(code)
+        # enumerators raises on any transform-identity failure
+        params = gf4.enumerators(code).params
         sf = gf4.standard_form(code)
         got = {
             "n": params.n,
@@ -80,7 +81,6 @@ def check_fixtures() -> Check:
         }
         if got != expected:
             problems.append(f"{name}: {got} != {expected}")
-        gf4.enumerators(code)  # raises on any transform-identity failure
     return (
         "fixture-corpus",
         not problems,

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from qbounds import gf4
 from qbounds.bounds import LP_SIZE_CAP
 from qbounds.cli import CHECK_SIZE_CAP, main
 from qbounds.selftest import fixture_manifest, fixture_text
@@ -30,6 +32,21 @@ GOLDEN_ANALYZE = {
     "omega_line.code": "176111f46b3a98fe816c6704e3f4d55eb194d0a456a496f18afac4b919319bbd",
     "steane.code": "f9b8c7ea7069380c33b1007a63021628b52affe8ebcf4860ffb62bd9c92a4397",
     "xx_zz.code": "32b782c6bd94b83ca0eea18834e6075077eaf6e5b8061a91c1aee6eff52acd88",
+}
+
+# sha256 of `analyze` stdout on gf4.random_self_orthogonal_code(n, rank,
+# random.Random(seed)), keyed by (n, rank, seed), recorded from the nested
+# coset scan that reading d off the enumerator pair replaced.  The set holds
+# k = 0 through 3, k1 = 0 through 3 and four degenerate codes.
+GOLDEN_ANALYZE_RANDOM = {
+    (5, 3, 20): "08ecc939dafbcd46583c6a18347c61b93f342713da722abcae3c49567fdd0a38",
+    (6, 4, 26): "c29407fa8e267338270b78ea3fe1bc5135040b7b4e92787299791f56b3b7860f",
+    (6, 5, 13): "8107152ddf5386cf2b3b5f4f812877d07d2eef42f48c10cb5fdf75bf3ec20600",
+    (6, 6, 0): "392536038c3290aa512ddb30b42e237d32dc989a63b1662c9ebbb09dc527cb9d",
+    (9, 8, 32): "360ebc61e098f49468a6e2d22f1d45e8a137cfa15c009a485f5e0c3b33dae653",
+    (10, 7, 17): "bd41b7c7ad1700db607c0e55f15c83b4e7a4e28670162b55074cedfc5b51e457",
+    (10, 8, 22): "613434a09a4123d81703c3d5a200920e6f82ea60a6534246bd919fc457172f6d",
+    (10, 8, 26): "759b0a20c5b66a1565a05d04d10e588fc229fab89abb014d1d2dd9d77a487954",
 }
 
 # sha256 of the concatenated stdout of `lp` at d = 2..4, each with K = 1 (feasible
@@ -128,6 +145,15 @@ def test_golden_analyze(capsys, tmp_path, monkeypatch, name):
     assert stdout_digest(capsys, "analyze", name) == GOLDEN_ANALYZE[name]
 
 
+@pytest.mark.parametrize("key", sorted(GOLDEN_ANALYZE_RANDOM))
+def test_golden_analyze_random(capsys, tmp_path, monkeypatch, key):
+    n, rank, seed = key
+    code = gf4.random_self_orthogonal_code(n, rank, random.Random(seed))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "random.code").write_text(gf4.format_code(code), encoding="utf-8")
+    assert stdout_digest(capsys, "analyze", "random.code") == GOLDEN_ANALYZE_RANDOM[key]
+
+
 @pytest.mark.parametrize("n", sorted(GOLDEN_LP))
 def test_golden_lp(capsys, n):
     outs = []
@@ -137,6 +163,15 @@ def test_golden_lp(capsys, n):
             assert code == 0
             outs.append(out)
     assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == GOLDEN_LP[n]
+
+
+@pytest.mark.parametrize("bounds", ["singleton,hamming,levenshtein", "lp"])
+@pytest.mark.parametrize("K", ["-1", "0"])
+def test_check_rejects_nonpositive_K(capsys, bounds, K):
+    code, out, err = run(capsys, "check", "--n", "5", "--K", K, "--d", "3",
+                         "--bounds", bounds)
+    assert code == 2 and out == ""
+    assert "K must be positive" in err and len(err.strip().splitlines()) == 1
 
 
 def test_check_size_cap_exit(capsys):
@@ -212,6 +247,12 @@ def test_analyze_errors(capsys, tmp_path):
     assert code == 2 and "self-orthogonal" in err
 
     assert run(capsys, "analyze", str(tmp_path / "missing.code"))[0] == 2
+
+    latin1 = tmp_path / "latin1.code"
+    latin1.write_bytes("XZZXI # Ä\n".encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(latin1))
+    assert code == 2 and out == ""
+    assert err.startswith("analyze:") and len(err.strip().splitlines()) == 1
 
 
 def test_lp_subcommand(capsys):

@@ -10,9 +10,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import gf4_oracle
 from qbounds.errors import CapacityError, ParameterError, ParseError, StructureError
 from qbounds.gf4 import (
     AdditiveCode,
+    _restricted_free_subcode,
     binary_s_code,
     codes_equal,
     complementary_code,
@@ -25,8 +27,10 @@ from qbounds.gf4 import (
     random_self_orthogonal_code,
     reduction_targets,
     reduction_witnesses,
+    split_halves,
     standard_form,
     symplectic_dual,
+    symbols_to_int,
     symplectic_product,
     weight_distribution,
 )
@@ -469,3 +473,58 @@ def test_binary_s_code_dominates_quantum_distance():
         assert s is not None
         assert (s.length, s.dimension) == (n + params.k, 2 * params.k)
         assert s.distance >= params.d
+
+
+# ---------------------------------------------------------------------------
+# sweep against the word-by-word scans
+# ---------------------------------------------------------------------------
+
+
+def _with_fixed_qubit(code, symbol):
+    """C plus one more qubit carrying a weight-1 stabilizer: degenerate once d >= 2."""
+    n = code.n
+    gens = [a | (b << (n + 1)) for a, b in (split_halves(g, n) for g in code.generators)]
+    gens.append(symbols_to_int([0] * n + [symbol], n + 1))
+    return AdditiveCode(n + 1, tuple(gens))
+
+
+def test_distances_match_word_scans():
+    """Distances read off weight distributions equal the scans they replaced."""
+    rng = random.Random(4096)
+    bad = []
+    seen = {"k=0": 0, "degenerate": 0, "nondegenerate": 0}
+    for trial in range(600):
+        if trial % 3 == 0:
+            n = rng.randint(1, 8)
+            code = random_self_orthogonal_code(n, rng.randint(1, n), rng)
+            code = _with_fixed_qubit(code, rng.randint(1, 3))
+        else:
+            n = rng.randint(1, 9)
+            # k <= 1 in every third code, where degenerate codes are least rare
+            rank = rng.randint(1, n) if trial % 3 == 1 else max(n - 1, 1)
+            code = random_self_orthogonal_code(n, rank, rng)
+        params = quantum_distance(code)
+        if params != gf4_oracle.quantum_distance(code):
+            bad.append((trial, "params", params))
+        if min_nonzero_weight(code) != gf4_oracle.min_nonzero_weight(code):
+            bad.append((trial, "min_nonzero_weight"))
+        if params.k == 0:
+            seen["k=0"] += 1
+            continue
+        seen["degenerate" if params.degenerate else "nondegenerate"] += 1
+        comp = complementary_code(code)
+        s_code = binary_s_code(code)
+        expected = {
+            "mixed_additive": gf4_oracle.min_nonzero_weight(comp.punctured),
+            "binary": gf4_oracle.binary_distance(s_code.rows),
+        }
+        sub = comp.punctured if comp.k1 == 0 else _restricted_free_subcode(comp)
+        if sub is not None:
+            expected["additive"] = gf4_oracle.min_nonzero_weight(sub)
+        if s_code.distance != expected["binary"]:
+            bad.append((trial, "binary_s_code"))
+        for witness in reduction_witnesses(code, params=params):
+            if witness.distance != expected[witness.target.kind]:
+                bad.append((trial, witness))
+    assert bad == []
+    assert min(seen.values()) >= 20, seen

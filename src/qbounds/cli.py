@@ -173,6 +173,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         if name not in ("singleton", "hamming", "levenshtein", "lp"):
             print(f"table: unknown bound {name!r}", file=sys.stderr)
             return EXIT_USAGE
+    for flag, value in (("n-max", args.n_max), ("d-max", args.d_max)):
+        if value <= 0:
+            print(f"table: {flag} must be positive, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     if args.n_max > 30:
         print("table: n-max capped at 30", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,15 +1,18 @@
-"""Word-by-word distance scans, kept as oracles for ``qbounds.gf4``.
+"""Word-by-word scans, kept as oracles for ``qbounds.gf4``.
 
-The library reads every distance off a weight distribution.  These are the
-scans it replaced: the nested coset loop of ``quantum_distance`` (every
-complement word plus every code word, 2^(n+k) words) and the per-word
-minimum loop of ``min_nonzero_weight``, both unchanged apart from imports,
-and the minimum loop of ``binary_s_code`` as a function of its rows.
+The library reads every distance off a weight distribution, which it
+counts with a split-span kernel.  These are the scans it replaced: the
+per-word loop of ``weight_distribution`` over ``words`` (a Gray-code walk
+behind the enumeration cap), the nested coset loop of ``quantum_distance``
+(every complement word plus every code word, 2^(n+k) words) and the
+per-word minimum loop of ``min_nonzero_weight``, all unchanged apart from
+imports and ``words`` turning from a method into a function, and the
+minimum loop of ``binary_s_code`` as a function of its rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from qbounds.errors import CapacityError, InvariantError, ParameterError, StructureError
 from qbounds.gf4 import (
@@ -23,6 +26,22 @@ from qbounds.gf4 import (
     symplectic_dual,
     symplectic_weight,
 )
+
+
+def words(code: AdditiveCode) -> Iterator[int]:
+    if code.rank > ENUMERATION_CAP:
+        raise CapacityError(
+            f"rank {code.rank} exceeds enumeration cap {ENUMERATION_CAP}"
+        )
+    return iter_span(code.generators)
+
+
+def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
+    """Counts of code words by symplectic weight; entry 0 equals 1."""
+    counts = [0] * (code.n + 1)
+    for w in words(code):
+        counts[symplectic_weight(w, code.n)] += 1
+    return tuple(counts)
 
 
 def _extend_basis(base: Sequence[int], candidates: Iterable[int]) -> list[int]:
@@ -54,7 +73,7 @@ def quantum_distance(code: AdditiveCode) -> QuantumParams:
             f"dual rank {dual.rank} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     min_c = None
-    for w in code.words():
+    for w in words(code):
         if w:
             wt = symplectic_weight(w, n)
             if min_c is None or wt < min_c:
@@ -66,7 +85,7 @@ def quantum_distance(code: AdditiveCode) -> QuantumParams:
     complement = _extend_basis(code.echelon, dual.generators)
     if len(complement) != 2 * k:
         raise InvariantError("complement basis has wrong rank")
-    cwords = list(code.words())
+    cwords = list(words(code))
     d = None
     for w in iter_span(complement):
         if not w:
@@ -83,7 +102,7 @@ def quantum_distance(code: AdditiveCode) -> QuantumParams:
 def min_nonzero_weight(code: AdditiveCode) -> int:
     """Minimum symplectic weight over the nonzero words (exhaustive)."""
     best = None
-    for w in code.words():
+    for w in words(code):
         if w:
             wt = symplectic_weight(w, code.n)
             if best is None or wt < best:

@@ -204,6 +204,14 @@ def test_table_empty_bounds_usage_error(capsys):
     assert run(capsys, "table", "--n-max", "4", "--d-max", "4", "--bounds", " ")[0] == 2
 
 
+@pytest.mark.parametrize("n_max, d_max", [("-1", "3"), ("0", "3"), ("4", "0"), ("4", "-2")])
+def test_table_rejects_nonpositive_limits(capsys, n_max, d_max):
+    code, out, err = run(capsys, "table", "--n-max", n_max, "--d-max", d_max,
+                         "--bounds", "singleton")
+    assert code == 2 and out == ""
+    assert err.startswith("table:") and len(err.strip().splitlines()) == 1
+
+
 def test_table_capacity_exits(capsys):
     assert run(capsys, "table", "--n-max", "31", "--d-max", "3",
                "--bounds", "singleton")[0] == 3
@@ -233,6 +241,21 @@ def test_analyze_c422(capsys, tmp_path):
         t for t in payload["reduction_targets"] if t["kind"] == "binary"
     )
     assert (binary["length"], binary["dimension"]) == (6, 4)
+
+
+def test_analyze_checks_self_orthogonality_once(capsys, tmp_path, monkeypatch):
+    check = gf4.AdditiveCode.__dict__["is_self_orthogonal"]
+    original, calls = check.func, []
+
+    def counted(code):
+        calls.append(code)
+        return original(code)
+
+    monkeypatch.setattr(check, "func", counted)
+    path = tmp_path / "steane.code"
+    path.write_text(fixture_text("steane.code"), encoding="utf-8")
+    assert run(capsys, "analyze", str(path))[0] == 0
+    assert len(calls) == 1
 
 
 def test_analyze_errors(capsys, tmp_path):

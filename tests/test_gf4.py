@@ -13,6 +13,7 @@ import pytest
 import gf4_oracle
 from qbounds.errors import CapacityError, ParameterError, ParseError, StructureError
 from qbounds.gf4 import (
+    ENUMERATION_CAP,
     AdditiveCode,
     _restricted_free_subcode,
     binary_s_code,
@@ -20,6 +21,7 @@ from qbounds.gf4 import (
     complementary_code,
     enumerators,
     format_code,
+    gf2_rank,
     int_to_symbols,
     min_nonzero_weight,
     parse_code,
@@ -239,6 +241,37 @@ def test_capacity_error_beyond_cap():
     big = AdditiveCode(14, tuple(1 << i for i in range(28)))
     with pytest.raises(CapacityError):
         weight_distribution(big)
+
+
+def _random_code(n, rank, rng):
+    """Seeded code of the given rank, not necessarily self-orthogonal."""
+    rows = []
+    while len(rows) < rank:
+        v = rng.getrandbits(2 * n)
+        if gf2_rank(rows + [v]) > len(rows):
+            rows.append(v)
+    return AdditiveCode(n, tuple(rows))
+
+
+def test_weight_distribution_matches_word_loop():
+    """The split-span kernel counts what the per-word loop it replaced counts."""
+    rng = random.Random(2718)
+    codes = [AdditiveCode(n, ()) for n in (1, 4)]
+    for rank in range(19):
+        # odd ranks put one more generator in the low half than in the high one
+        for n in sorted({(rank + 1) // 2 or 1, rank // 2 + 3, rank + 2}):
+            codes.append(_random_code(n, rank, rng))
+    for n in range(1, 10):
+        self_dual = random_self_orthogonal_code(n, n, rng)
+        codes += [self_dual, symplectic_dual(self_dual)]
+    assert {c.rank for c in codes} == set(range(19))
+    for code in codes:
+        assert weight_distribution(code) == gf4_oracle.weight_distribution(code), code
+
+    over = _random_code(14, ENUMERATION_CAP + 1, rng)
+    for count in (weight_distribution, gf4_oracle.weight_distribution):
+        with pytest.raises(CapacityError, match="^rank 27 exceeds enumeration cap 26$"):
+            count(over)
 
 
 def test_enumerators_fixtures():

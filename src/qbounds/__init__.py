@@ -51,7 +51,6 @@ from .exact import (
     binomial,
     krawtchouk_eval,
     krawtchouk_expand,
-    krawtchouk_smallest_root,
     macwilliams_transform,
 )
 from .gf4 import (

@@ -25,7 +25,6 @@ from .errors import CapacityError, InvariantError, ParameterError
 from .exact import (
     ExactPolynomial,
     KrawtchoukExpansion,
-    _poly_mul,
     binomial,
     compare_smallest_root,
     krawtchouk_eval,
@@ -181,14 +180,6 @@ def polynomial_bound(fp: FeasiblePolynomial, bound_name: str = "custom_poly") ->
 # ---------------------------------------------------------------------------
 # named polynomials
 # ---------------------------------------------------------------------------
-
-
-def singleton_polynomial(n: int, d: int) -> ExactPolynomial:
-    """f(x) = 4^{n-d+1} prod_{j=d}^{n} (1 - x/j)."""
-    coeffs: list[Fraction] = [Fraction(4) ** (n - d + 1)]
-    for j in range(d, n + 1):
-        coeffs = _poly_mul(coeffs, [_ONE, Fraction(-1, j)])
-    return ExactPolynomial(tuple(coeffs), n)
 
 
 def singleton_bound(n: int, d: int) -> BoundVerdict:

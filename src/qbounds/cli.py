@@ -6,33 +6,47 @@ matrix over a parameter grid), ``analyze`` (full report for a code file),
 (asymptotic curve CSV), ``selftest`` (invariant suite).
 
 Exit codes: 0 success (verdicts live in the payload), 1 selftest failure,
-2 usage/parse/structure error, 3 capacity exceeded.  Output is
-deterministic: no timestamps; ``--meta`` adds fixed provenance headers.
-Rationals render as 'p/q'.
+2 usage/parse/structure error, 3 capacity exceeded, 4 internal error (a
+failed exact identity or solve, which is a bug: one ``internal:`` line on
+stderr).  A reader that closes stdout early (``| head``) ends the command
+quietly with exit 0.  Output is deterministic: no timestamps; ``--meta``
+adds fixed provenance headers.  Rationals render as 'p/q'.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
 
 from . import __version__, bounds, gf4
 from .asymptotic import CurveSpec, generate_curve, load_classical_bound_csv
-from .errors import CapacityError, ParameterError, ParseError, StructureError
+from .errors import (
+    CapacityError,
+    InvariantError,
+    ParameterError,
+    ParseError,
+    SolverError,
+    StructureError,
+)
 from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 CHECK_BOUNDS = ("singleton", "hamming", "levenshtein", "lp", "degenerate_hamming")
 DEFAULT_CHECK_BOUNDS = "singleton,hamming,levenshtein"
 # The slowest d at n = 200 takes under 1 s; the cost grows about as n^3.
 CHECK_SIZE_CAP = 200
+# The full table at n-max 30 (every d, every bound but lp) takes about 3 s
+# on a 2-vCPU host.
+TABLE_SIZE_CAP = 30
 
 
 def _fmt(value) -> object:
@@ -177,8 +191,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         if value <= 0:
             print(f"table: {flag} must be positive, got {value}", file=sys.stderr)
             return EXIT_USAGE
-    if args.n_max > 30:
-        print("table: n-max capped at 30", file=sys.stderr)
+    if args.n_max > TABLE_SIZE_CAP:
+        print(f"table: n-max capped at {TABLE_SIZE_CAP}", file=sys.stderr)
         return EXIT_CAPACITY
     if "lp" in names and args.n_max > bounds.LP_SIZE_CAP:
         print(f"table: lp bound capped at n <= {bounds.LP_SIZE_CAP}", file=sys.stderr)
@@ -382,13 +396,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (ParseError, StructureError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except (InvariantError, SolverError) as exc:
+        print(f"internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader has gone; the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

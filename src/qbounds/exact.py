@@ -40,8 +40,6 @@ from typing import Sequence
 
 from .errors import ParameterError
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -264,38 +262,6 @@ def krawtchouk_expand(f: ExactPolynomial) -> KrawtchoukExpansion:
 # ---------------------------------------------------------------------------
 # the smallest root
 # ---------------------------------------------------------------------------
-
-
-def krawtchouk_smallest_root(
-    k: int, n: int, q: int = 4, tol: Fraction = Fraction(1, 10**9)
-) -> tuple[Fraction, Fraction]:
-    """Bracket the smallest real root of P_k(x, n) to width <= tol.
-
-    All k roots are real, simple and lie in (0, n).  Returns an exact
-    rational interval (lo, hi) containing the smallest root; when bisection
-    lands on the root exactly the interval has width zero.
-    """
-    if k == 0:
-        raise ParameterError("P_0 is constant and has no roots")
-    _validate_tnq(k, n, q)
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
-    if k == 1:
-        root = Fraction((q - 1) * n, q)
-        return (root, root)
-    lo, hi = Fraction(0), Fraction(n)
-    # invariant: lo below the smallest root, hi above it
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        side = compare_smallest_root(k, n, q, mid)
-        if side == 0:
-            return (mid, mid)
-        if side < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
 
 
 def compare_smallest_root(k: int, n: int, q: int, x: Fraction | int) -> int:

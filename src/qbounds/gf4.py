@@ -11,8 +11,10 @@ XOR of pairs, so a code closed under addition is exactly a GF(2)-subspace
 of bit vectors.  Symplectic weight counts coordinates with a nonzero
 pair; two words u, v commute when <a_u, b_v> + <a_v, b_u> = 0 mod 2.
 
-Symbols are also handled as 2-bit ints 0..3 (bit 0 = a, bit 1 = b) when
-per-coordinate elimination is more convenient than bit masks.
+Every word, the standard form and the reduction codes included, stays an
+int.  GF(4) symbols appear only when text is parsed or formatted and where
+:func:`symbol` reads one coordinate as a 2-bit int 0..3 (bit 0 = a,
+bit 1 = b); no elimination works on lists of symbols.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import or_, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -74,24 +76,58 @@ def symbols_to_int(symbols: Sequence[int], n: int) -> int:
     return v
 
 
-def int_to_symbols(v: int, n: int) -> tuple[int, ...]:
-    a, b = split_halves(v, n)
-    return tuple(((a >> i) & 1) | (((b >> i) & 1) << 1) for i in range(n))
+def symbol(v: int, c: int, n: int) -> int:
+    """The GF(4) symbol of word v at coordinate c, as a 2-bit int."""
+    return ((v >> c) & 1) | (((v >> (n + c)) & 1) << 1)
 
 
-def gf2_echelon(rows: Iterable[int]) -> list[int]:
-    """Reduced echelon basis (pivot = highest set bit), sorted by pivot."""
+def _gather(v: int, positions: Sequence[int]) -> int:
+    """The bits of v at ``positions``, packed from bit 0 up in that order."""
+    out = 0
+    for i, p in enumerate(positions):
+        out |= ((v >> p) & 1) << i
+    return out
+
+
+def _restrict(v: int, cols: Sequence[int], n: int) -> int:
+    """The length-n word v restricted to coordinates ``cols``, in that order."""
+    return _gather(v, [*cols, *(n + c for c in cols)])
+
+
+def _highest_bit(v: int) -> int:
+    return v.bit_length() - 1
+
+
+def _lowest_bit(v: int) -> int:
+    return (v & -v).bit_length() - 1
+
+
+def _rref(rows: Iterable[int], pivot_of: Callable[[int], int]) -> dict[int, int]:
+    """Reduced row echelon basis of span(rows), keyed by pivot bit.
+
+    A row's pivot is ``pivot_of(row)``, and every basis row is 0 at every
+    other pivot.  The basis depends only on the span and the pivot rule,
+    which stays the caller's choice: the highest-bit basis of
+    :func:`gf2_echelon` fixes the dual's generators, and the lowest-bit
+    pivots of :func:`binary_s_code` fix the columns it keeps.
+    """
     basis: dict[int, int] = {}
     for row in rows:
         for p, r in basis.items():
             if (row >> p) & 1:
                 row ^= r
         if row:
-            pivot = row.bit_length() - 1
+            pivot = pivot_of(row)
             for p, r in list(basis.items()):
                 if (r >> pivot) & 1:
                     basis[p] = r ^ row
             basis[pivot] = row
+    return basis
+
+
+def gf2_echelon(rows: Iterable[int]) -> list[int]:
+    """Reduced echelon basis (pivot = highest set bit), sorted by pivot."""
+    basis = _rref(rows, _highest_bit)
     return [basis[p] for p in sorted(basis, reverse=True)]
 
 
@@ -111,17 +147,7 @@ def gf2_rank(rows: Iterable[int]) -> int:
 
 def gf2_nullspace(rows: Sequence[int], width: int) -> list[int]:
     """Basis of {v : <row, v> = 0 mod 2 for every row}."""
-    pivots: dict[int, int] = {}  # pivot column (lowest set bit) -> row
-    for row in rows:
-        for col, prow in pivots.items():
-            if (row >> col) & 1:
-                row ^= prow
-        if row:
-            col = (row & -row).bit_length() - 1
-            for c, prow in list(pivots.items()):
-                if (prow >> col) & 1:
-                    pivots[c] = prow ^ row
-            pivots[col] = row
+    pivots = _rref(rows, _lowest_bit)
     basis = []
     for j in range(width):
         if j in pivots:
@@ -182,10 +208,6 @@ class AdditiveCode:
     def echelon(self) -> tuple[int, ...]:
         return tuple(gf2_echelon(self.generators))
 
-    def contains(self, v: int) -> bool:
-        basis = {row.bit_length() - 1: row for row in self.echelon}
-        return _reduce_by(v, basis) == 0
-
     @cached_property
     def is_self_orthogonal(self) -> bool:
         """Whether every pair of generators commutes (computed once per code)."""
@@ -195,11 +217,6 @@ class AdditiveCode:
             for i in range(len(gens))
             for j in range(i, len(gens))
         )
-
-
-def codes_equal(a: AdditiveCode, b: AdditiveCode) -> bool:
-    """Span equality (generator sets may differ)."""
-    return a.n == b.n and a.echelon == b.echelon
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +277,10 @@ def _parse_row(piece: str, lineno: int) -> list[int]:
 
 def format_code(code: AdditiveCode) -> str:
     """Render generators as GF(4) rows, one per line."""
-    lines = []
-    for g in code.generators:
-        lines.append(" ".join(_SYMBOL_CHARS[s] for s in int_to_symbols(g, code.n)))
+    n = code.n
+    lines = [
+        " ".join(_SYMBOL_CHARS[symbol(g, c, n)] for c in range(n)) for g in code.generators
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -397,27 +415,23 @@ def quantum_distance(code: AdditiveCode) -> QuantumParams:
 # ---------------------------------------------------------------------------
 
 
-def _xor_rows(r1: Sequence[int], r2: Sequence[int]) -> list[int]:
-    return [a ^ b for a, b in zip(r1, r2)]
-
-
 @dataclass(frozen=True)
 class StandardForm:
-    """Generator matrix organized by pivot type under a column permutation.
+    """A code's generators sorted by pivot type, in the original coordinates.
 
-    The first k0 columns carry pivot pairs (symbols 1 and w in rows j and
-    k0 + j), the next k1 columns carry single-line pivots whose symbol is
-    recorded in ``line_pivots``; row i of ``matrix`` lists GF(4) symbols in
-    the permuted coordinate order.  Column j of the permuted matrix is
-    original coordinate ``permutation[j]``.  Only coordinate permutations
-    are applied, so reassembling the matrix and undoing the permutation
-    spans exactly the input code.
+    ``permutation`` lists the k0 pair-pivot columns, then the k1 line-pivot
+    columns, then the other columns in increasing order.  ``rows`` holds
+    2 * k0 + k1 words spanning exactly the input code: row j has symbol 1
+    and row k0 + j symbol w at pair-pivot column ``permutation[j]``, where
+    every other row is 0; row 2 * k0 + j has symbol ``line_pivots[j]`` at
+    line-pivot column ``permutation[k0 + j]`` and is 0 at every pair-pivot
+    column.
     """
 
     n: int
     k0: int
     k1: int
-    matrix: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
     permutation: tuple[int, ...]
     line_pivots: tuple[int, ...]
 
@@ -425,131 +439,93 @@ class StandardForm:
     def k(self) -> int:
         return self.n - 2 * self.k0 - self.k1
 
-    @property
-    def rank(self) -> int:
-        return 2 * self.k0 + self.k1
 
-    def blocks(self) -> dict[str, tuple[tuple[int, ...], ...]]:
-        """Raw symbol blocks: A-blocks over the k1 columns, B/A3 over the tail."""
-        k0, k1 = self.k0, self.k1
-        ones = self.matrix[:k0]
-        omegas = self.matrix[k0 : 2 * k0]
-        lines = self.matrix[2 * k0 :]
-        return {
-            "A1": tuple(r[k0 : k0 + k1] for r in ones),
-            "B1": tuple(r[k0 + k1 :] for r in ones),
-            "A2": tuple(r[k0 : k0 + k1] for r in omegas),
-            "B2": tuple(r[k0 + k1 :] for r in omegas),
-            "A3": tuple(r[k0 + k1 :] for r in lines),
-        }
+def _pop_line_pivot(rows: list[int], col: int, n: int) -> int | None:
+    """Remove the first row nonzero at col and add it to the others nonzero there.
 
-    def reassemble(self) -> AdditiveCode:
-        """Undo the column permutation; spans exactly the original code."""
-        gens = []
-        for row in self.matrix:
-            symbols = [0] * self.n
-            for j, s in enumerate(row):
-                symbols[self.permutation[j]] = s
-            gens.append(symbols_to_int(symbols, self.n))
-        return AdditiveCode(self.n, tuple(gens))
+    The nonzero symbols at col must be equal (a single symbol line), so
+    every row left in ``rows`` is 0 at col.  None when the column is zero.
+    """
+    i = next((i for i, r in enumerate(rows) if symbol(r, col, n)), None)
+    if i is None:
+        return None
+    pivot = rows.pop(i)
+    alpha = symbol(pivot, col, n)
+    for j, r in enumerate(rows):
+        s = symbol(r, col, n)
+        if s:
+            if s != alpha:
+                raise InvariantError("line column carries two distinct symbols")
+            rows[j] = r ^ pivot
+    return pivot
 
 
 def standard_form(code: AdditiveCode) -> StandardForm:
     """Classify coordinates into pair pivots (k0), line pivots (k1), tail.
 
-    Deterministic symplectic Gaussian elimination: pivot columns are chosen
-    by lowest coordinate index, first among columns whose residual
-    projection spans all of GF(4), then among columns with a single nonzero
-    symbol line.  Row operations are GF(2) additions only; no coordinate is
-    rescaled, so a line pivot keeps whatever symbol the code provides
-    (recorded in ``line_pivots``).
+    Deterministic symplectic Gaussian elimination on the generators' ints:
+    one pass over the columns in increasing order takes as pair pivots
+    those whose residual projection spans all of GF(4), then a second pass
+    takes as line pivots those where it is a single nonzero symbol line.
+    Row operations are GF(2) additions only; no coordinate is rescaled, so
+    a line pivot keeps whatever symbol the code provides (recorded in
+    ``line_pivots``).  The rows left after a pivot lie in the span of those
+    before it, so a column passed over never becomes a pivot later, and
+    one pass per pivot type finds every pivot.
     """
     n = code.n
-    remaining = [list(int_to_symbols(g, n)) for g in code.generators]
-    one_rows: list[list[int]] = []
-    omega_rows: list[list[int]] = []
-    line_rows: list[list[int]] = []
+    remaining = list(code.generators)
+    one_rows: list[int] = []
+    omega_rows: list[int] = []
     k0_cols: list[int] = []
-    k1_cols: list[int] = []
-    pivots: list[int] = []
-    used: set[int] = set()
-
-    def finished_rows() -> list[list[int]]:
-        return one_rows + omega_rows + line_rows
 
     # pair pivots: columns whose residual projection is all of GF(4)
-    while True:
-        col = None
-        for c in range(n):
-            if c in used:
-                continue
-            vals = {r[c] for r in remaining if r[c]}
-            if len(vals) >= 2:
-                col = c
-                break
-        if col is None:
-            break
-        i1 = next(i for i, r in enumerate(remaining) if r[col])
-        v1 = remaining[i1][col]
-        i2 = next(
-            i for i, r in enumerate(remaining) if r[col] and r[col] != v1 and i != i1
-        )
+    for col in range(n):
+        column = [symbol(r, col, n) for r in remaining]
+        if len(set(column) - {0}) < 2:
+            continue
+        i1 = next(i for i, s in enumerate(column) if s)
+        i2 = next(i for i, s in enumerate(column) if s not in (0, column[i1]))
         r1, r2 = remaining[i1], remaining[i2]
-        r12 = _xor_rows(r1, r2)
-        by_symbol = {r1[col]: r1, r2[col]: r2, r12[col]: r12}
-        p1, pw = by_symbol[1], by_symbol[2]
-        elim = {1: p1, 2: pw, 3: _xor_rows(p1, pw)}
-        remaining = [r for i, r in enumerate(remaining) if i not in (i1, i2)]
-        for r in remaining + finished_rows():
-            if r[col]:
-                r[:] = _xor_rows(r, elim[r[col]])
-        one_rows.append(p1)
-        omega_rows.append(pw)
+        # the row, of 0, r1, r2 and r1 ^ r2, that carries each symbol at col
+        elim = {symbol(r, col, n): r for r in (0, r1, r2, r1 ^ r2)}
+        remaining = [
+            r ^ elim[s] for i, (r, s) in enumerate(zip(remaining, column)) if i not in (i1, i2)
+        ]
+        one_rows = [r ^ elim[symbol(r, col, n)] for r in one_rows] + [elim[1]]
+        omega_rows = [r ^ elim[symbol(r, col, n)] for r in omega_rows] + [elim[2]]
         k0_cols.append(col)
-        used.add(col)
 
     # line pivots: residual projections are single nonzero symbol lines
-    while True:
-        col = None
-        for c in range(n):
-            if c in used:
-                continue
-            if any(r[c] for r in remaining):
-                col = c
-                break
-        if col is None:
-            break
-        i = next(i for i, r in enumerate(remaining) if r[col])
-        pr = remaining.pop(i)
-        alpha = pr[col]
-        for r in remaining:
-            if r[col]:
-                if r[col] != alpha:
-                    raise InvariantError("line column carries two distinct symbols")
-                r[:] = _xor_rows(r, pr)
-        # normalize finished rows at this column to canonical coset reps
-        for r in finished_rows():
-            v = r[col]
-            if v and min(v, v ^ alpha) != v:
-                r[:] = _xor_rows(r, pr)
-        line_rows.append(pr)
+    rows = one_rows + omega_rows
+    k1_cols: list[int] = []
+    pivots: list[int] = []
+    for col in range(n):
+        if col in k0_cols:
+            continue
+        pr = _pop_line_pivot(remaining, col, n)
+        if pr is None:
+            continue
+        alpha = symbol(pr, col, n)
+        # reduce the finished rows at this column to canonical coset reps
+        for i, r in enumerate(rows):
+            s = symbol(r, col, n)
+            if s ^ alpha < s:
+                rows[i] = r ^ pr
+        rows.append(pr)
         k1_cols.append(col)
         pivots.append(alpha)
-        used.add(col)
 
     if remaining:
         raise InvariantError("independent rows left unconsumed by elimination")
 
-    permutation = k0_cols + k1_cols + [c for c in range(n) if c not in used]
-    matrix = tuple(
-        tuple(row[orig] for orig in permutation) for row in finished_rows()
-    )
+    used = k0_cols + k1_cols
     return StandardForm(
         n=n,
         k0=len(k0_cols),
         k1=len(k1_cols),
-        matrix=matrix,
-        permutation=tuple(permutation),
+        rows=tuple(rows),
+        permutation=tuple(used + [c for c in range(n) if c not in used]),
         line_pivots=tuple(pivots),
     )
 
@@ -602,41 +578,27 @@ def complementary_code(
         return None
     if sf is None:
         sf = standard_form(code)
-    k0, k1 = sf.k0, sf.k1
-    reduced: list[list[int]] = []
+    k0, rows = sf.k0, sf.rows
+    reduced = []
     for v in _complement_basis(code):
-        syms = int_to_symbols(v, n)
-        row = [syms[orig] for orig in sf.permutation]
-        for j in range(k0):
-            s = row[j]
-            if s & 1:
-                row = _xor_rows(row, sf.matrix[j])
-            if row[j] & 2:
-                row = _xor_rows(row, sf.matrix[k0 + j])
-            if row[j]:
+        for j, col in enumerate(sf.permutation[:k0]):
+            if symbol(v, col, n) & 1:
+                v ^= rows[j]
+            if symbol(v, col, n) & 2:
+                v ^= rows[k0 + j]
+            if symbol(v, col, n):
                 raise InvariantError("pair-pivot column failed to clear")
-        for j in range(k1):
-            alpha = sf.line_pivots[j]
-            v_here = row[k0 + j]
-            if min(v_here, v_here ^ alpha) != v_here:
-                row = _xor_rows(row, sf.matrix[2 * k0 + j])
-        reduced.append(row)
+        for j, alpha in enumerate(sf.line_pivots):
+            s = symbol(v, sf.permutation[k0 + j], n)
+            if s ^ alpha < s:
+                v ^= rows[2 * k0 + j]
+        reduced.append(v)
 
-    original = []
-    for row in reduced:
-        symbols = [0] * n
-        for j, s in enumerate(row):
-            symbols[sf.permutation[j]] = s
-        original.append(symbols_to_int(symbols, n))
-    comp = AdditiveCode(n, tuple(original))
-    stacked = gf2_rank(list(code.generators) + list(comp.generators))
-    if stacked != n + k:
+    if gf2_rank(list(code.generators) + reduced) != n + k:
         raise InvariantError("complement stacked with C does not span the dual")
-    punct_rows = tuple(
-        symbols_to_int(row[k0:], n - k0) for row in reduced
-    )
-    punctured = AdditiveCode(n - k0, punct_rows)
-    return ComplementaryCode(code=comp, punctured=punctured, k0=k0, k1=k1)
+    tail = sf.permutation[k0:]
+    punctured = AdditiveCode(n - k0, tuple(_restrict(v, tail, n) for v in reduced))
+    return ComplementaryCode(AdditiveCode(n, tuple(reduced)), punctured, k0, sf.k1)
 
 
 def min_nonzero_weight(code: AdditiveCode) -> int:
@@ -696,20 +658,10 @@ def _restricted_free_subcode(comp: ComplementaryCode) -> AdditiveCode | None:
     if k1 == 0:
         return None
     m = comp.punctured.n
-    rows = [list(int_to_symbols(g, m)) for g in comp.punctured.generators]
+    rows = list(comp.punctured.generators)
     for col in range(k1):
-        pivot = None
-        for r in rows:
-            if r[col]:
-                if pivot is None:
-                    pivot = r
-                else:
-                    if r[col] != pivot[col]:
-                        raise InvariantError("restricted column not a single line")
-                    r[:] = _xor_rows(r, pivot)
-        if pivot is not None:
-            rows.remove(pivot)
-    tail = [symbols_to_int(r[k1:], m - k1) for r in rows]
+        _pop_line_pivot(rows, col, m)
+    tail = [_restrict(r, range(k1, m), m) for r in rows]
     if not tail:
         return None
     return AdditiveCode(m - k1, tuple(tail))
@@ -797,38 +749,16 @@ def binary_s_code(code: AdditiveCode) -> BinarySCode | None:
         return None
 
     # RREF of the binary generator matrix, X columns first then Z columns.
-    pivot_rows: dict[int, int] = {}  # bit position -> reduced row
-    for g in code.generators:
-        row = g
-        for bit, prow in pivot_rows.items():
-            if (row >> bit) & 1:
-                row ^= prow
-        if not row:
-            raise InvariantError("dependent generator in validated code")
-        a, b = split_halves(row, n)
-        bit = (a & -a).bit_length() - 1 if a else n + ((b & -b).bit_length() - 1)
-        for key, prow in list(pivot_rows.items()):
-            if (prow >> bit) & 1:
-                pivot_rows[key] = prow ^ row
-        pivot_rows[bit] = row
-
-    reduced = []
-    for w in _complement_basis(code):
-        for bit, prow in pivot_rows.items():
-            if (w >> bit) & 1:
-                w ^= prow
-        reduced.append(w)
-
+    pivot_rows = _rref(code.generators, _lowest_bit)
     free_cols = [j for j in range(2 * n) if j not in pivot_rows]
     if len(free_cols) != n + k:
         raise InvariantError("pivot count disagrees with code rank")
     rows = []
-    for w in reduced:
-        packed = 0
-        for out_bit, j in enumerate(free_cols):
-            if (w >> j) & 1:
-                packed |= 1 << out_bit
-        rows.append(packed)
+    for w in _complement_basis(code):
+        for bit, prow in pivot_rows.items():
+            if (w >> bit) & 1:
+                w ^= prow
+        rows.append(_gather(w, free_cols))
     if gf2_rank(rows) != 2 * k:
         raise InvariantError("binary reduction rows are dependent")
     # the rows fill only the X half, where symplectic weight is Hamming weight
@@ -854,7 +784,7 @@ def random_self_orthogonal_code(
             pool = dual.generators
         else:
             pool = tuple(1 << j for j in range(2 * n))
-        basis = {row.bit_length() - 1: row for row in gf2_echelon(gens)}
+        basis = _rref(gens, _highest_bit)
         for _ in range(64):
             v = 0
             for g in pool:

@@ -5,6 +5,8 @@
 * :func:`compare_smallest_root_sturm` places x against the smallest root of
   P_k(x, n) by counting real roots with a Sturm chain built from the
   power-basis coefficients by polynomial remainders.
+* :func:`singleton_polynomial` builds the Singleton-type product
+  polynomial in the power basis, for the polynomial-method tests.
 
 Neither shares code with the recurrence that ``qbounds.exact`` uses.
 """
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from qbounds.exact import _poly_add, _poly_eval, _poly_mul, _poly_scale, _trim
+from qbounds.exact import ExactPolynomial, _poly_add, _poly_eval, _poly_mul, _poly_scale, _trim
 
 _ONE = Fraction(1)
 
@@ -116,3 +118,11 @@ def compare_smallest_root_sturm(k: int, n: int, q: int, x: Fraction | int) -> in
     if _poly_eval(chain[0], x) == 0:
         return 0 if roots_up_to_x == 1 else 1
     return -1 if roots_up_to_x == 0 else 1
+
+
+def singleton_polynomial(n: int, d: int) -> ExactPolynomial:
+    """f(x) = 4^{n-d+1} prod_{j=d}^{n} (1 - x/j)."""
+    coeffs: list[Fraction] = [Fraction(4) ** (n - d + 1)]
+    for j in range(d, n + 1):
+        coeffs = _poly_mul(coeffs, [_ONE, Fraction(-1, j)])
+    return ExactPolynomial(tuple(coeffs), n)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from krawtchouk_oracle import singleton_polynomial
 from qbounds.bounds import (
     LP_SIZE_CAP,
     ceil_log2,
@@ -20,7 +21,6 @@ from qbounds.bounds import (
     mixed_hamming_check,
     polynomial_bound,
     singleton_bound,
-    singleton_polynomial,
     strongest,
     verify_lp_certificate,
     verify_lp_witness,

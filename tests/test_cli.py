@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from qbounds import gf4
 from qbounds.bounds import LP_SIZE_CAP
-from qbounds.cli import CHECK_SIZE_CAP, main
+from qbounds.cli import CHECK_SIZE_CAP, EXIT_INTERNAL, TABLE_SIZE_CAP, main
+from qbounds.errors import InvariantError, SolverError
 from qbounds.selftest import fixture_manifest, fixture_text
 
 # sha256 of stdout, recorded from the power-basis / Sturm-chain implementation
@@ -213,10 +218,41 @@ def test_table_rejects_nonpositive_limits(capsys, n_max, d_max):
 
 
 def test_table_capacity_exits(capsys):
-    assert run(capsys, "table", "--n-max", "31", "--d-max", "3",
+    assert run(capsys, "table", "--n-max", str(TABLE_SIZE_CAP + 1), "--d-max", "3",
                "--bounds", "singleton")[0] == 3
     assert run(capsys, "table", "--n-max", str(LP_SIZE_CAP + 1), "--d-max", "3",
                "--bounds", "lp")[0] == 3
+
+
+@pytest.mark.parametrize("error", [InvariantError, SolverError])
+def test_internal_error_exits_4_with_one_line(capsys, monkeypatch, error):
+    def broken(n, d):
+        raise error("identity failed")
+
+    monkeypatch.setattr("qbounds.bounds.singleton_bound", broken)
+    code, out, err = run(capsys, "table", "--n-max", "3", "--d-max", "2",
+                         "--bounds", "singleton")
+    assert code == EXIT_INTERNAL == 4
+    assert err == "internal: identity failed\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_quietly(unbuffered):
+    # a pipe whose read end is closed before the command writes anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbounds.cli", "table", "--n-max", "12", "--d-max", "6",
+             "--bounds", "singleton,hamming"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_analyze_five_qubit(capsys, five_qubit_file):

@@ -1,6 +1,5 @@
 """Krawtchouk arithmetic: evaluation, basis changes, roots, transform."""
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -11,6 +10,7 @@ from krawtchouk_oracle import (
     falling_binomial,
     krawtchouk_power_coeffs,
     krawtchouk_sum,
+    singleton_polynomial,
 )
 from qbounds.errors import ParameterError
 from qbounds.exact import (
@@ -21,7 +21,6 @@ from qbounds.exact import (
     krawtchouk_coeffs,
     krawtchouk_eval,
     krawtchouk_expand,
-    krawtchouk_smallest_root,
     krawtchouk_table,
     macwilliams_transform,
 )
@@ -134,8 +133,6 @@ def test_expand_constant():
 
 def test_expand_singleton_polynomial_closed_form():
     # f(x) = 4^{n-d+1} prod_{j=d}^{n}(1 - x/j) expands to C(n-i, d-1)/C(n, d-1)
-    from qbounds.bounds import singleton_polynomial
-
     e = krawtchouk_expand(singleton_polynomial(5, 3))
     assert e.coeffs == (1, F(3, 5), F(3, 10), F(1, 10), 0, 0)
     for n in range(1, 10):
@@ -167,38 +164,9 @@ def test_expand_rejects_degree_above_ambient():
         ExactPolynomial(tuple(F(1) for _ in range(7)), 5)
 
 
-def test_smallest_root_linear_exact():
-    assert krawtchouk_smallest_root(1, 5) == (F(15, 4), F(15, 4))
-
-
-def test_smallest_root_quadratic_against_formula():
-    # oracle: expand P_2(x, 5) and apply the rational quadratic formula
-    c0, c1, c2 = krawtchouk_coeffs(2, 5, 4)
-    disc = c1 * c1 - 4 * c0 * c2
-    root = math.isqrt(disc.numerator)
-    assert root * root == disc.numerator and disc.denominator == 1
-    smaller = (-c1 - root) / (2 * c2) if c2 > 0 else (-c1 + root) / (2 * c2)
-    assert smaller == F(5, 2)
-    assert krawtchouk_smallest_root(2, 5) == (F(5, 2), F(5, 2))
-
-
-@pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 9), (5, 11)])
-def test_smallest_root_bracket_properties(k, n):
-    tol = F(1, 10**9)
-    lo, hi = krawtchouk_smallest_root(k, n, tol=tol)
-    assert hi - lo <= tol
-    assert 0 < lo <= hi < n
-    # nothing at or below lo, root at or below hi
-    if lo != hi:
-        assert compare_smallest_root(k, n, 4, lo) == -1
-        assert compare_smallest_root(k, n, 4, hi) >= 0
-    else:
-        assert compare_smallest_root(k, n, 4, lo) == 0
-
-
-def test_smallest_root_rejects_constant():
+def test_compare_smallest_root_rejects_constant():
     with pytest.raises(ParameterError):
-        krawtchouk_smallest_root(0, 5)
+        compare_smallest_root(0, 5, 4, 1)
 
 
 def test_compare_smallest_root_matches_sturm_oracle():

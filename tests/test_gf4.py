@@ -17,12 +17,10 @@ from qbounds.gf4 import (
     AdditiveCode,
     _restricted_free_subcode,
     binary_s_code,
-    codes_equal,
     complementary_code,
     enumerators,
     format_code,
     gf2_rank,
-    int_to_symbols,
     min_nonzero_weight,
     parse_code,
     quantum_distance,
@@ -31,6 +29,7 @@ from qbounds.gf4 import (
     reduction_witnesses,
     split_halves,
     standard_form,
+    symbol,
     symplectic_dual,
     symbols_to_int,
     symplectic_product,
@@ -47,8 +46,12 @@ STEANE = "IIIXXXX\nIXXIIXX\nXIXIXIX\nIIIZZZZ\nIZZIIZZ\nZIZIZIZ\n"
 # ---------------------------------------------------------------------------
 
 
+def _symbols(v, n):
+    return tuple(symbol(v, c, n) for c in range(n))
+
+
 def _rows_as_symbols(code):
-    return [int_to_symbols(g, code.n) for g in code.generators]
+    return [_symbols(g, code.n) for g in code.generators]
 
 
 def naive_words(rows):
@@ -110,7 +113,7 @@ def test_parse_five_qubit():
 
 def test_parse_slash_separated():
     code = parse_code("XZZXI / IXZZX / XIXZZ / ZXIXZ")
-    assert codes_equal(code, parse_code(FIVE_QUBIT))
+    assert code.echelon == parse_code(FIVE_QUBIT).echelon
 
 
 def test_parse_gf4_rows_and_comments():
@@ -141,7 +144,8 @@ def test_parse_empty():
 def test_format_round_trip():
     for text in (FIVE_QUBIT, C422, "w w\n"):
         code = parse_code(text)
-        assert codes_equal(parse_code(format_code(code)), code)
+        back = parse_code(format_code(code))
+        assert (back.n, back.echelon) == (code.n, code.echelon)
 
 
 def test_dependent_generators_rejected_at_construction():
@@ -164,7 +168,7 @@ def test_dual_contains_self_orthogonal_code():
     code = parse_code(FIVE_QUBIT)
     dual = symplectic_dual(code)
     assert dual.rank == 6
-    assert all(dual.contains(g) for g in code.generators)
+    assert gf2_rank(dual.generators + code.generators) == dual.rank
 
 
 def test_bidual_identity():
@@ -172,7 +176,7 @@ def test_bidual_identity():
     for _ in range(20):
         n = rng.randint(1, 6)
         code = random_self_orthogonal_code(n, rng.randint(1, n), rng)
-        assert codes_equal(symplectic_dual(symplectic_dual(code)), code)
+        assert symplectic_dual(symplectic_dual(code)).echelon == code.echelon
 
 
 def test_dual_is_symplectically_orthogonal():
@@ -326,7 +330,7 @@ def test_standard_form_five_qubit_is_gf4_linear():
     # GF(4)-linearity oracle: multiplying every generator by w stays inside
     omega_mult = {0: 0, 1: 2, 2: 3, 3: 1}
     for g in code.generators:
-        scaled = [omega_mult[s] for s in int_to_symbols(g, code.n)]
+        scaled = [omega_mult[s] for s in _symbols(g, code.n)]
         word = tuple(scaled)
         assert word in set(naive_words(_rows_as_symbols(code)))
 
@@ -352,23 +356,20 @@ def test_standard_form_round_trip_random():
             gens.append(candidate)
         code = AdditiveCode(n, tuple(gens))
         sf = standard_form(code)
-        assert 2 * sf.k0 + sf.k1 == code.rank
-        assert codes_equal(sf.reassemble(), code)
+        assert 2 * sf.k0 + sf.k1 == code.rank == len(sf.rows)
+        assert AdditiveCode(n, sf.rows).echelon == code.echelon
+        assert sorted(sf.permutation) == list(range(n))
         # pivot structure: identity-like blocks at the pivot columns
-        for j in range(sf.k0):
-            assert sf.matrix[j][j] == 1
-            assert sf.matrix[sf.k0 + j][j] == 2
+        pair_cols = sf.permutation[: sf.k0]
+        for j, col in enumerate(pair_cols):
+            assert symbol(sf.rows[j], col, n) == 1
+            assert symbol(sf.rows[sf.k0 + j], col, n) == 2
+            others = [r for i, r in enumerate(sf.rows) if i not in (j, sf.k0 + j)]
+            assert all(symbol(r, col, n) == 0 for r in others)
         for j in range(sf.k1):
-            row = sf.matrix[2 * sf.k0 + j]
-            assert row[sf.k0 + j] == sf.line_pivots[j]
-            assert all(row[c] == 0 for c in range(sf.k0))
-
-
-def test_standard_form_blocks_shapes():
-    sf = standard_form(parse_code(C422))
-    blocks = sf.blocks()
-    assert len(blocks["B1"]) == sf.k0
-    assert len(blocks["A3"]) == sf.k1
+            row = sf.rows[2 * sf.k0 + j]
+            assert symbol(row, sf.permutation[sf.k0 + j], n) == sf.line_pivots[j]
+            assert all(symbol(row, c, n) == 0 for c in pair_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -561,3 +562,51 @@ def test_distances_match_word_scans():
                 bad.append((trial, witness))
     assert bad == []
     assert min(seen.values()) >= 20, seen
+
+
+def _reduction_rows(sf, sf_rows, comp, sub, binary_rows):
+    """Every row the reduction layer builds from one code, in order, by name."""
+    return {
+        "standard_form": (sf.k0, sf.k1, sf.permutation, sf.line_pivots, sf_rows),
+        "complement": comp and comp.code.generators,
+        "punctured": comp and (comp.punctured.n, comp.punctured.generators),
+        "subcode": sub and (sub.n, sub.generators),
+        "binary_s_code": binary_rows,
+    }
+
+
+def test_reduction_layer_matches_symbol_list_oracle():
+    """Eliminations on int words build the rows the symbol-list layer built."""
+    rng = random.Random(1997)
+    bad = []
+    seen = {"k1 >= 1": 0, "k1 >= 2k": 0, "k = 0": 0, "not self-orthogonal": 0}
+    for trial in range(1300):
+        if trial < 1000:
+            n = rng.randint(1, 9) if trial % 3 == 0 else rng.randint(1, 10)
+            code = random_self_orthogonal_code(n, rng.randint(1, n), rng)
+            if trial % 3 == 0:
+                code = _with_fixed_qubit(code, rng.randint(1, 3))
+        else:
+            n = rng.randint(1, 8)
+            code = _random_code(n, rng.randint(0, 2 * n), rng)
+        sf, oracle_sf = standard_form(code), gf4_oracle.standard_form(code)
+        comp = oracle_comp = sub = oracle_sub = rows = oracle_rows = None
+        if code.is_self_orthogonal:
+            comp = complementary_code(code, sf)
+            oracle_comp = gf4_oracle.complementary_code(code, oracle_sf)
+            sub = comp and _restricted_free_subcode(comp)
+            oracle_sub = oracle_comp and gf4_oracle._restricted_free_subcode(oracle_comp)
+            s_code = binary_s_code(code)
+            rows, oracle_rows = s_code and s_code.rows, gf4_oracle.binary_s_rows(code)
+            seen["k = 0"] += sf.k == 0
+            seen["k1 >= 1"] += sf.k > 0 and sf.k1 >= 1
+            seen["k1 >= 2k"] += sf.k > 0 and sf.k1 >= 2 * sf.k
+        else:
+            seen["not self-orthogonal"] += 1
+        got = _reduction_rows(sf, sf.rows, comp, sub, rows)
+        want = _reduction_rows(
+            oracle_sf, oracle_sf.reassemble().generators, oracle_comp, oracle_sub, oracle_rows
+        )
+        bad += [(trial, key) for key in want if got[key] != want[key]]
+    assert bad == []
+    assert min(seen.values()) >= 50, seen

@@ -68,6 +68,27 @@ GOLDEN_LP = {
 }
 
 
+# sha256 of the concatenated stdout of `curves --id <id>` at --samples 2, 17 and
+# 333 (fig2 at each of --kappa1 0, 0.4 and 1), keyed by (id, classical), where
+# classical adds --classical-bound CLASSICAL_CSV; recorded from the four separate
+# bisection loops that one shared bisection replaced: curves must stay
+# byte-identical.
+GOLDEN_CURVES = {
+    ("A", False): "35c023ae9885963306739a65f4d2c483b33baad137a4e7222fdb9459cab5c434",
+    ("B", False): "711588d8086b91bdb40408c180946e2255e66d999996b166a636cb9d8417fda2",
+    ("D", False): "26dc809ba3b91ed4b5d78f898d052118480648d9ee5a8a9ca92ebef44c46bc0f",
+    ("E", False): "0573dbca839cbbfa5fce2c072107d7c02eafd5aaaa26ca3f6b3e418be11d0fb5",
+    ("hamming-degenerate", False):
+        "fa6aeb78d31b44f02e26422fc20735fdccff733e915372ff7b55bd32546ea0b2",
+    ("fig2", False): "7244736d5051aee91e76c549b22ad75ec77085bec781d5edd3b8e169077c3777",
+    ("A", True): "4def0febb42e7decb6afee76dd6ce9283a14cb70fa632c0dd8b4b595161bb7c4",
+    ("D", True): "dfccdc14e879322d156f47acde48178e616c6b89e1f23a4ea4cb529b33779124",
+    ("E", True): "7a34e38d765c60b48d3811b92367446fc97c671cdd4fca755bd024a445794925",
+    ("fig2", True): "a75a15cecd74490841f9838d240cf6da2b91cf2078d387293aff133a28aaa280",
+}
+CLASSICAL_CSV = "delta,rate\n0.0,1.0\n0.1,0.72\n0.2,0.45\n0.3,0.21\n0.45,0.04\n0.6,0.0\n"
+
+
 @pytest.fixture()
 def five_qubit_file(tmp_path):
     path = tmp_path / "five_qubit.code"
@@ -169,6 +190,25 @@ def test_golden_lp(capsys, n):
             outs.append(out)
     assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == GOLDEN_LP[n]
 
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_CURVES), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_golden_curves(capsys, tmp_path, monkeypatch, key):
+    curve_id, classical = key
+    # a relative path, so the echoed classical-bound label does not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "classical.csv").write_text(CLASSICAL_CSV, encoding="utf-8")
+    outs = []
+    for kappa1 in (("0", "0.4", "1") if curve_id == "fig2" else (None,)):
+        for samples in ("2", "17", "333"):
+            argv = ["curves", "--id", curve_id, "--samples", samples]
+            if kappa1 is not None:
+                argv += ["--kappa1", kappa1]
+            if classical:
+                argv += ["--classical-bound", "classical.csv"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+    assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == GOLDEN_CURVES[key]
 
 @pytest.mark.parametrize("bounds", ["singleton,hamming,levenshtein", "lp"])
 @pytest.mark.parametrize("K", ["-1", "0"])

@@ -27,8 +27,9 @@ Curve ids follow the command-line surface:
        (2 lambda - kappa1)/(1 + lambda - kappa1)
            <= R4(2 delta/(1 + lambda - kappa1)),  valid while kappa1 < 2 lambda
 
-All bisections run to interval width <= 1e-9 and the emitted samples are
-bit-for-bit reproducible for a fixed grid.
+Every root is found by the one bisection ``_bisect``, which halves its
+interval to width <= TOL = 1e-9; the emitted samples are bit-for-bit
+reproducible for a fixed grid.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 
 from .errors import ParameterError, SolverError
 
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 
 CURVE_IDS = ("A", "B", "D", "E", "hamming-degenerate", "fig2")
 
@@ -69,12 +70,19 @@ def gamma_q(x: float, q: int = 4) -> float:
     return (q - 1 - (q - 2) * x - 2.0 * math.sqrt((q - 1) * x * (1.0 - x))) / q
 
 
+def _bisect(pred: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi] to width <= TOL, keeping pred true at lo and false at hi."""
+    while hi - lo > TOL:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def solve_monotone(
-    fn: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL,
+    fn: Callable[[float], float], target: float, lo: float, hi: float
 ) -> float:
     """Bisection for fn(x) = target with fn monotone on [lo, hi]."""
     flo, fhi = fn(lo), fn(hi)
@@ -89,13 +97,7 @@ def solve_monotone(
         raise SolverError(
             f"target {target} not bracketed by fn({lo})={flo}, fn({hi})={fhi}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if (fm < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda x: (fn(x) < target) == increasing, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -152,8 +154,8 @@ def tabulated_bound(points: Sequence[tuple[float, float]]) -> ClassicalBound:
 def load_classical_bound_csv(path: str) -> ClassicalBound:
     """Read a 'delta,rate' CSV (header required) into a rate bound.
 
-    Every defect, from an unreadable file to a malformed row, raises
-    ParameterError; a row's error names its line.
+    Every defect, from an unreadable file to a malformed row or a delta or
+    rate outside [0, 1], raises ParameterError; a row's error names its line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -172,9 +174,9 @@ def load_classical_bound_csv(path: str) -> ClassicalBound:
             point = (float(row[0]), float(row[1]))
         except (IndexError, ValueError):
             point = None
-        if point is None or not all(map(math.isfinite, point)):
+        if point is None or not all(0.0 <= v <= 1.0 for v in point):
             raise ParameterError(
-                f"{path} line {number}: expected two finite numbers 'delta,rate', "
+                f"{path} line {number}: expected two numbers 'delta,rate' in [0, 1], "
                 f"got {','.join(row)!r}"
             )
         points.append(point)
@@ -201,7 +203,6 @@ class CurveSpec:
     kappa1: float = 0.0
     classical_bound: ClassicalBound | None = None
     classical_label: str = ""
-    tol: float = DEFAULT_TOL
 
 
 def _grid(lo: float, hi: float, samples: int) -> list[float]:
@@ -211,43 +212,26 @@ def _grid(lo: float, hi: float, samples: int) -> list[float]:
     return [lo + i * step for i in range(samples)]
 
 
-def curve_nondeg_general(samples: int = 200, tol: float = DEFAULT_TOL) -> list[CurvePoint]:
+def curve_nondeg_general(samples: int = 200) -> list[CurvePoint]:
     """Curve B: lambda = 2 H4(x) - 1 against delta = gamma4(x).
 
     The parametric normalization is pinned by its endpoints: lambda = 1 at
     delta = 0 and lambda = 0 at delta = gamma4(x*) with H4(x*) = 1/2,
     delta ~ 0.3161.
     """
-    x_star = solve_monotone(lambda x: entropy_q(x, 4), 0.5, 1e-12, 0.75, tol)
+    x_star = solve_monotone(lambda x: entropy_q(x, 4), 0.5, 1e-12, 0.75)
     delta_end = gamma_q(x_star, 4)
     points = []
     for delta in _grid(0.0, delta_end, samples):
-        x = solve_monotone(lambda t: gamma_q(t, 4), delta, 0.0, 0.75, tol)
+        x = solve_monotone(lambda t: gamma_q(t, 4), delta, 0.0, 0.75)
         rate = 2.0 * entropy_q(x, 4) - 1.0
         points.append(CurvePoint(delta, min(1.0, max(0.0, rate))))
     return points
 
 
-def _largest_rate(
-    constraint: Callable[[float], float], floor: float, tol: float
-) -> float:
-    """Largest lambda in [floor, 1] with constraint(lambda) <= 0.
-
-    constraint(floor) <= 0 is required; the feasible set is swept by
-    bisection on its upper boundary.
-    """
-    if constraint(floor) > 0.0:
-        return floor - 1.0  # infeasible marker
-    if constraint(1.0) <= 0.0:
-        return 1.0
-    lo, hi = floor, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _standin_q(curve_id: str) -> int:
+    """Alphabet of the built-in first-LP stand-in: D reduces to a binary code."""
+    return 2 if curve_id == "D" else 4
 
 
 def _stabilizer_constraint(
@@ -279,37 +263,36 @@ def curve_stabilizer(
     classical_bound: ClassicalBound | None = None,
     kappa1: float = 0.0,
     samples: int = 200,
-    tol: float = DEFAULT_TOL,
 ) -> list[CurvePoint]:
     """Curves A, D, E and the fig2 family: largest lambda meeting the reduction.
 
-    Each delta sample is solved independently by bisection; the delta range
-    ends where the feasible rate meets the domain floor (0, or kappa1/2 for
-    the fig2 family, where the parameterized reduction stops applying).
+    Each delta sample is solved independently by bisection on the upper
+    boundary of the feasible lambdas in [floor, 1]; the delta range ends
+    where the feasible rate meets the domain floor (0, or kappa1/2 for the
+    fig2 family, where the parameterized reduction stops applying).
     """
-    if curve_id not in ("A", "D", "E", "fig2"):
-        raise ParameterError(f"unknown stabilizer curve id {curve_id!r}")
     if curve_id == "fig2" and not 0.0 <= kappa1 <= 1.0:
         raise ParameterError(f"kappa1 must lie in [0, 1], got {kappa1}")
     if classical_bound is None:
-        classical_bound = first_lp_bound(2 if curve_id == "D" else 4)
+        classical_bound = first_lp_bound(_standin_q(curve_id))
     g, floor = _stabilizer_constraint(curve_id, classical_bound, kappa1)
 
     def rate_at(delta: float) -> float:
-        return _largest_rate(lambda lam: g(delta, lam), floor, tol)
+        """Largest feasible lambda, or floor - 1 when even the floor is not."""
+        def feasible(lam: float) -> bool:
+            return g(delta, lam) <= 0.0
+
+        if not feasible(floor):
+            return floor - 1.0
+        if feasible(1.0):
+            return 1.0
+        return _bisect(feasible, floor, 1.0)[0]
 
     # end of support: last delta whose best rate clears the domain floor
-    lo, hi = 0.0, 1.0
-    if rate_at(hi) > floor + tol:
-        delta_end = hi
-    else:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if rate_at(mid) > floor + tol:
-                lo = mid
-            else:
-                hi = mid
-        delta_end = lo
+    def clears(delta: float) -> bool:
+        return rate_at(delta) > floor + TOL
+
+    delta_end = 1.0 if clears(1.0) else _bisect(clears, 0.0, 1.0)[0]
     points = []
     for delta in _grid(0.0, delta_end, samples):
         rate = rate_at(delta)
@@ -320,7 +303,7 @@ def curve_stabilizer(
 
 
 def curve_hamming_degenerate(
-    samples: int = 200, half_radius: bool = False, tol: float = DEFAULT_TOL
+    samples: int = 200, half_radius: bool = False
 ) -> list[CurvePoint]:
     """Sphere-packing curve lambda = (1 - H4(mu)) / (1 + H4(mu)).
 
@@ -338,16 +321,10 @@ def curve_hamming_degenerate(
 
     points = []
     for delta in _grid(0.0, 0.75 * scale, samples):
-        lo, hi = 0.0, 1.0
-        if residual(delta, lo) >= 0.0:
+        if residual(delta, 0.0) >= 0.0:
             points.append(CurvePoint(delta, 0.0))
             continue
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if residual(delta, mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = _bisect(lambda lam: residual(delta, lam) < 0.0, 0.0, 1.0)
         points.append(CurvePoint(delta, 0.5 * (lo + hi)))
     return points
 
@@ -359,40 +336,30 @@ def curve_hamming_degenerate(
 
 def generate_curve(spec: CurveSpec) -> tuple[list[CurvePoint], list[str]]:
     """Points plus deterministic provenance/metadata comment lines."""
+    if spec.curve_id not in CURVE_IDS:
+        raise ParameterError(f"unknown curve id {spec.curve_id!r}")
     meta = [f"curve: {spec.curve_id}", f"samples: {spec.samples}"]
     if spec.curve_id == "B":
-        points = curve_nondeg_general(spec.samples, spec.tol)
+        points = curve_nondeg_general(spec.samples)
         meta.append(
             "normalization: rate = 2*H4(x) - 1, delta = gamma4(x); pinned by the "
             "endpoints (rate 1 at delta 0; rate 0 near delta 0.316)"
         )
         return points, meta
     if spec.curve_id == "hamming-degenerate":
-        points = curve_hamming_degenerate(spec.samples, tol=spec.tol)
+        points = curve_hamming_degenerate(spec.samples)
         meta.append("fixed point: rate = (1 - H4(mu))/(1 + H4(mu)), mu = delta/(1 + rate)")
         return points, meta
-    if spec.curve_id in ("A", "D", "E", "fig2"):
-        label = spec.classical_label or (
-            "first-lp-gf2 (built-in stand-in)"
-            if spec.curve_id == "D"
-            else "first-lp-gf4 (built-in stand-in)"
+    standin = f"first-lp-gf{_standin_q(spec.curve_id)} (built-in stand-in)"
+    meta.append(f"classical_bound: {spec.classical_label or standin}")
+    if spec.curve_id == "A":
+        meta.append(
+            "note: with the built-in first-LP stand-in the zero-rate endpoint "
+            "is ~0.316; the strongest published quaternary bound would give "
+            "~0.308 and is not built in (supply --classical-bound to use it)"
         )
-        meta.append(f"classical_bound: {label}")
-        if spec.curve_id == "A":
-            meta.append(
-                "note: with the built-in first-LP stand-in the zero-rate endpoint "
-                "is ~0.316; the strongest published quaternary bound would give "
-                "~0.308 and is not built in (supply --classical-bound to use it)"
-            )
-        if spec.curve_id == "fig2":
-            meta.append(f"kappa1: {spec.kappa1!r}")
-            meta.append("valid while kappa1 < 2*rate; curve ends at rate kappa1/2")
-        points = curve_stabilizer(
-            spec.curve_id,
-            classical_bound=spec.classical_bound,
-            kappa1=spec.kappa1,
-            samples=spec.samples,
-            tol=spec.tol,
-        )
-        return points, meta
-    raise ParameterError(f"unknown curve id {spec.curve_id!r}")
+    if spec.curve_id == "fig2":
+        meta.append(f"kappa1: {spec.kappa1!r}")
+        meta.append("valid while kappa1 < 2*rate; curve ends at rate kappa1/2")
+    points = curve_stabilizer(spec.curve_id, spec.classical_bound, spec.kappa1, spec.samples)
+    return points, meta

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__, bounds, gf4
-from .asymptotic import CurveSpec, generate_curve, load_classical_bound_csv
+from .asymptotic import CURVE_IDS, CurveSpec, generate_curve, load_classical_bound_csv
 from .errors import (
     CapacityError,
     InvariantError,
@@ -40,13 +40,19 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
 
-CHECK_BOUNDS = ("singleton", "hamming", "levenshtein", "lp", "degenerate_hamming")
+# bounds.<name>_bound(n, d), looked up when called so wrappers around them hold
+CLOSED_FORM_BOUNDS = ("singleton", "hamming", "levenshtein")
+TABLE_BOUNDS = CLOSED_FORM_BOUNDS + ("lp",)
+CHECK_BOUNDS = TABLE_BOUNDS + ("degenerate_hamming",)
 DEFAULT_CHECK_BOUNDS = "singleton,hamming,levenshtein"
 # The slowest d at n = 200 takes under 1 s; the cost grows about as n^3.
 CHECK_SIZE_CAP = 200
 # The full table at n-max 30 (every d, every bound but lp) takes about 3 s
 # on a 2-vCPU host.
 TABLE_SIZE_CAP = 30
+# 50,000 samples of the slowest curve (E, or fig2 near kappa1 = 1; 35-56 us a
+# sample) take 1.7-2.8 s on a 2-vCPU host.
+CURVE_SAMPLES_CAP = 50_000
 
 
 def _fmt(value) -> object:
@@ -65,6 +71,23 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"not a rational number: {text!r}") from exc
+
+
+def _bound_names(command: str, text: str, allowed: Sequence[str]) -> list[str] | None:
+    """The names of a --bounds list, or None after one usage line on stderr."""
+    names = [b.strip() for b in text.split(",") if b.strip()]
+    if not names:
+        print(f"{command}: empty bound list", file=sys.stderr)
+        return None
+    for name in names:
+        if name not in allowed:
+            print(f"{command}: unknown bound {name!r}", file=sys.stderr)
+            return None
+    return names
+
+
+def _closed_form(name: str, n: int, d: int) -> bounds.BoundVerdict:
+    return getattr(bounds, f"{name}_bound")(n, d)
 
 
 def _verdict_payload(v: bounds.BoundVerdict) -> dict:
@@ -126,25 +149,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     if K <= 0:
         print(f"check: K must be positive, got {K}", file=sys.stderr)
         return EXIT_USAGE
-    names = [b.strip() for b in args.bounds.split(",") if b.strip()]
-    if not names:
-        print("check: empty bound list", file=sys.stderr)
+    names = _bound_names("check", args.bounds, CHECK_BOUNDS)
+    if names is None:
         return EXIT_USAGE
-    for name in names:
-        if name not in CHECK_BOUNDS:
-            print(f"check: unknown bound {name!r}", file=sys.stderr)
-            return EXIT_USAGE
     if "lp" in names and n > bounds.LP_SIZE_CAP:
         print(f"check: lp bound capped at n <= {bounds.LP_SIZE_CAP}", file=sys.stderr)
         return EXIT_CAPACITY
     verdicts: list[bounds.BoundVerdict] = []
     for name in names:
-        if name == "singleton":
-            verdicts.append(bounds.singleton_bound(n, d).judged_against(n, K))
-        elif name == "hamming":
-            verdicts.append(bounds.hamming_bound(n, d).judged_against(n, K))
-        elif name == "levenshtein":
-            verdicts.append(bounds.levenshtein_bound(n, d).judged_against(n, K))
+        if name in CLOSED_FORM_BOUNDS:
+            verdicts.append(_closed_form(name, n, d).judged_against(n, K))
         elif name == "lp":
             result = bounds.lp_feasible(n, K, d)
             verdict = bounds.BoundVerdict(
@@ -179,14 +193,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    names = [b.strip() for b in args.bounds.split(",") if b.strip()]
-    if not names:
-        print("table: empty bound list", file=sys.stderr)
+    names = _bound_names("table", args.bounds, TABLE_BOUNDS)
+    if names is None:
         return EXIT_USAGE
-    for name in names:
-        if name not in ("singleton", "hamming", "levenshtein", "lp"):
-            print(f"table: unknown bound {name!r}", file=sys.stderr)
-            return EXIT_USAGE
     for flag, value in (("n-max", args.n_max), ("d-max", args.d_max)):
         if value <= 0:
             print(f"table: {flag} must be positive, got {value}", file=sys.stderr)
@@ -204,24 +213,16 @@ def cmd_table(args: argparse.Namespace) -> int:
         for d in range(1, min(args.d_max, n) + 1):
             cells = []
             for name in names:
-                if name == "singleton":
-                    verdict = bounds.singleton_bound(n, d)
-                elif name == "hamming":
-                    verdict = bounds.hamming_bound(n, d)
-                elif name == "levenshtein":
-                    verdict = bounds.levenshtein_bound(n, d)
-                else:
+                if name == "lp":
                     critical = bounds.lp_critical_K(n, d)
                     if critical is None:
                         cells.append("-")
-                        continue
-                    value = (Fraction(2) ** n) * critical
-                    cells.append(str(max(bounds.floor_log2(value) - n, 0)))
+                    else:
+                        value = (Fraction(2) ** n) * critical
+                        cells.append(str(max(bounds.floor_log2(value) - n, 0)))
                     continue
-                if not verdict.applicable:
-                    cells.append("-")
-                else:
-                    cells.append(str(max(verdict.k_max, 0)))
+                verdict = _closed_form(name, n, d)
+                cells.append(str(max(verdict.k_max, 0)) if verdict.applicable else "-")
             print(f"{n},{d}," + ",".join(cells))
     return EXIT_OK
 
@@ -301,6 +302,10 @@ def cmd_lp(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
+    if args.samples > CURVE_SAMPLES_CAP:
+        raise CapacityError(
+            f"samples={args.samples} exceeds the curves cap {CURVE_SAMPLES_CAP}"
+        )
     classical = None
     label = ""
     if args.classical_bound:
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("curves", help="asymptotic curve CSV")
-    p.add_argument("--id", required=True, choices=("A", "B", "D", "E", "hamming-degenerate", "fig2"))
+    p.add_argument("--id", required=True, choices=CURVE_IDS)
     p.add_argument("--kappa1", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--classical-bound", help="delta,rate CSV replacing the built-in")

@@ -218,6 +218,16 @@ class AdditiveCode:
             for j in range(i, len(gens))
         )
 
+    @cached_property
+    def dual(self) -> AdditiveCode:
+        """:func:`symplectic_dual` of the code (computed once per code)."""
+        return symplectic_dual(self)
+
+    @cached_property
+    def complement_basis(self) -> tuple[int, ...]:
+        """:func:`_complement_basis` of the code (computed once per code)."""
+        return tuple(_complement_basis(self))
+
 
 # ---------------------------------------------------------------------------
 # parsing and formatting
@@ -387,7 +397,7 @@ def enumerators(code: AdditiveCode) -> EnumeratorPair:
     n = code.n
     k = n - code.rank
     # dual(C) is never smaller than C, so its cap check comes first
-    B = weight_distribution(symplectic_dual(code))
+    B = weight_distribution(code.dual)
     A = weight_distribution(code)
     K = 1 << k
     scale = (1 << n) * K
@@ -557,7 +567,7 @@ def _complement_basis(code: AdditiveCode) -> list[int]:
     """2k rows that extend C to dual(C), each reduced modulo C."""
     basis = {row.bit_length() - 1: row for row in code.echelon}
     extra: list[int] = []
-    for cand in symplectic_dual(code).generators:
+    for cand in code.dual.generators:
         r = _reduce_by(cand, basis)
         if r:
             extra.append(r)
@@ -580,7 +590,7 @@ def complementary_code(
         sf = standard_form(code)
     k0, rows = sf.k0, sf.rows
     reduced = []
-    for v in _complement_basis(code):
+    for v in code.complement_basis:
         for j, col in enumerate(sf.permutation[:k0]):
             if symbol(v, col, n) & 1:
                 v ^= rows[j]
@@ -754,7 +764,7 @@ def binary_s_code(code: AdditiveCode) -> BinarySCode | None:
     if len(free_cols) != n + k:
         raise InvariantError("pivot count disagrees with code rank")
     rows = []
-    for w in _complement_basis(code):
+    for w in code.complement_basis:
         for bit, prow in pivot_rows.items():
             if (w >> bit) & 1:
                 w ^= prow

@@ -13,7 +13,13 @@ import pytest
 
 from qbounds import gf4
 from qbounds.bounds import LP_SIZE_CAP
-from qbounds.cli import CHECK_SIZE_CAP, EXIT_INTERNAL, TABLE_SIZE_CAP, main
+from qbounds.cli import (
+    CHECK_SIZE_CAP,
+    CURVE_SAMPLES_CAP,
+    EXIT_INTERNAL,
+    TABLE_SIZE_CAP,
+    main,
+)
 from qbounds.errors import InvariantError, SolverError
 from qbounds.selftest import fixture_manifest, fixture_text
 
@@ -334,6 +340,21 @@ def test_analyze_checks_self_orthogonality_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_builds_dual_and_complement_once(capsys, tmp_path, monkeypatch):
+    calls = {"symplectic_dual": 0, "_complement_basis": 0}
+    for name in calls:
+        original = getattr(gf4, name)
+
+        def counted(code, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(code)
+
+        monkeypatch.setattr(gf4, name, counted)
+    path = tmp_path / "steane.code"
+    path.write_text(fixture_text("steane.code"), encoding="utf-8")
+    assert run(capsys, "analyze", str(path))[0] == 0
+    assert calls == {"symplectic_dual": 1, "_complement_basis": 1}
+
 def test_analyze_errors(capsys, tmp_path):
     bad = tmp_path / "bad.code"
     bad.write_text("XZQ\n", encoding="utf-8")
@@ -403,6 +424,9 @@ def test_curves_classical_bound_plugin(capsys, tmp_path):
     (None, "cannot read"),
     ("delta,rate\n0.0,1.0\n0.5,abc\n", "line 3"),
     ("delta,rate\n# comment\n0.1\n0.75,0.0\n", "line 3"),
+    ("delta,rate\n0,-0.1\n0.5,-0.2\n", "line 2"),
+    ("delta,rate\n0.0,1.0\n1.5,0.0\n", "line 3"),
+    ("delta,rate\n0.0,1.0\n0.5,inf\n", "line 3"),
 ])
 def test_curves_classical_bound_errors(capsys, tmp_path, body, fragment):
     table = tmp_path / "classical.csv"
@@ -414,6 +438,12 @@ def test_curves_classical_bound_errors(capsys, tmp_path, body, fragment):
     assert err.startswith("error:") and fragment in err
     assert len(err.strip().splitlines()) == 1
 
+
+def test_curves_samples_cap_exit(capsys):
+    code, out, err = run(capsys, "curves", "--id", "E", "--samples",
+                         str(CURVE_SAMPLES_CAP + 1))
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:") and len(err.strip().splitlines()) == 1
 
 def test_curves_deterministic(capsys):
     first = run(capsys, "curves", "--id", "hamming-degenerate", "--samples", "50")

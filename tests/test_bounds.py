@@ -1,5 +1,6 @@
 """Finite-length bounds: polynomial method, LP feasibility, sphere packing."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -29,6 +30,11 @@ from qbounds.errors import CapacityError, ParameterError
 from qbounds.exact import ExactPolynomial, binomial
 
 FIVE_QUBIT_B = (1, 0, 0, 30, 15, 18)
+
+# sha256 over (n, d, applicable, value_on_2nK, k_max, reason, notes) of
+# levenshtein_bound(n, d) for 1 <= n <= 80 and 1 <= d <= n + 1, recorded from
+# the implementation that compared x = d - 1 against each smallest root per k
+GOLDEN_LEVENSHTEIN = "d55048824a4a8dddcabb4d4871540f5beea890fd522611c5c5298531c7d15064"
 
 
 def test_floor_ceil_log2():
@@ -166,6 +172,16 @@ def test_levenshtein_dominated_by_lp():
             if critical is None:
                 continue
             assert (F(2) ** n) * critical <= v.value_on_2nK, (n, d)
+
+
+def test_golden_levenshtein_verdicts():
+    digest = hashlib.sha256()
+    for n in range(1, 81):
+        for d in range(1, n + 2):
+            v = levenshtein_bound(n, d)
+            fields = (n, d, v.applicable, v.value_on_2nK, v.k_max, v.reason, v.notes)
+            digest.update(repr(fields).encode())
+    assert digest.hexdigest() == GOLDEN_LEVENSHTEIN
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Four layers:
 * :mod:`qbounds.exact` -- Krawtchouk polynomials from one three-term
   recurrence: a cached integer table of P_t(i, n), the change between a
   polynomial's values and its Krawtchouk coefficients, exact evaluation at
-  rational points, the smallest-root test by sign counting, and the
+  rational points, the smallest-root index by sign counting, and the
   weight-distribution transform;
 * :mod:`qbounds.gf4` -- GF(4) additive codes in binary symplectic form,
   duals, weight distributions and the enumerator pair (every distance is

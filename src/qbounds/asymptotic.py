@@ -34,6 +34,7 @@ reproducible for a fixed grid.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -142,11 +143,11 @@ def tabulated_bound(points: Sequence[tuple[float, float]]) -> ClassicalBound:
             return rates[0]
         if delta >= deltas[-1]:
             return rates[-1]
-        for i in range(len(deltas) - 1):
-            if deltas[i] <= delta <= deltas[i + 1]:
-                t = (delta - deltas[i]) / (deltas[i + 1] - deltas[i])
-                return rates[i] + t * (rates[i + 1] - rates[i])
-        raise SolverError("interpolation fell through")  # pragma: no cover
+        # the first interval [deltas[i], deltas[i + 1]] holding delta; at a knot
+        # that is the interval ending there
+        i = bisect.bisect_left(deltas, delta) - 1
+        t = (delta - deltas[i]) / (deltas[i + 1] - deltas[i])
+        return rates[i] + t * (rates[i + 1] - rates[i])
 
     return bound
 
@@ -302,25 +303,20 @@ def curve_stabilizer(
     return points
 
 
-def curve_hamming_degenerate(
-    samples: int = 200, half_radius: bool = False
-) -> list[CurvePoint]:
+def curve_hamming_degenerate(samples: int = 200) -> list[CurvePoint]:
     """Sphere-packing curve lambda = (1 - H4(mu)) / (1 + H4(mu)).
 
-    mu = delta / (1 + lambda) as printed in the source inequality;
-    ``half_radius`` exposes the alternative mu = delta / (2 (1 + lambda))
-    that a packing-radius-of-d/2 reading would give.  Solved per sample by
-    bisection of the fixed-point residual.
+    mu = delta / (1 + lambda) as printed in the source inequality.  Solved
+    per sample by bisection of the fixed-point residual.
     """
-    scale = 2.0 if half_radius else 1.0
 
     def residual(delta: float, lam: float) -> float:
-        mu = min(1.0, delta / (scale * (1.0 + lam)))
+        mu = min(1.0, delta / (1.0 + lam))
         h = entropy_q(mu, 4)
         return lam - (1.0 - h) / (1.0 + h)
 
     points = []
-    for delta in _grid(0.0, 0.75 * scale, samples):
+    for delta in _grid(0.0, 0.75, samples):
         if residual(delta, 0.0) >= 0.0:
             points.append(CurvePoint(delta, 0.0))
             continue

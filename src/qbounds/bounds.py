@@ -26,11 +26,11 @@ from .exact import (
     ExactPolynomial,
     KrawtchoukExpansion,
     binomial,
-    compare_smallest_root,
     krawtchouk_eval,
     krawtchouk_table,
     krawtchouk_values,
     macwilliams_transform,
+    smallest_root_index,
 )
 
 LP_SIZE_CAP = 24  # worst-d `lp` command about 0.3 s on a 2-vCPU host
@@ -85,7 +85,6 @@ class BoundVerdict:
     reason: str = ""
     notes: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
 
     def allows_K(self, n: int, K: Fraction) -> bool | None:
         if not self.applicable or self.value_on_2nK is None:
@@ -173,7 +172,6 @@ def polynomial_bound(fp: FeasiblePolynomial, bound_name: str = "custom_poly") ->
         applicable=True,
         value_on_2nK=value,
         k_max=floor_log2(value) - fp.n,
-        inputs={"n": fp.n, "d": fp.d},
     )
 
 
@@ -265,79 +263,59 @@ def _lev_value(k: int, n: int, x: int) -> Fraction | None:
 def levenshtein_bound(n: int, d: int) -> BoundVerdict:
     """K <= L^n(d) / 2^n on the piecewise branch containing x = d.
 
-    Branch membership is decided exactly against the smallest Krawtchouk
-    roots.  When d falls exactly on a branch boundary both neighboring
-    branch values are reported and the weaker (larger) one is used, since
-    validity of the sharper branch is ambiguous there.
+    Write y = d - 1, and d_k(m) for the smallest root of P_k(x, m).  The
+    branches tile the line as d_k(n-2) < d_k(n-1) < d_{k-1}(n-2): x lies in
+    the odd-type branch k when d_k(n-1) <= y < d_{k-1}(n-2), and in the
+    even-type branch k when d_k(n-2) <= y < d_k(n-1).  The smallest-root
+    indices (k, on_k) of y at length n-1 and (j, on_j) at length n-2 decide
+    it exactly: k == j is the odd-type branch k, and k == j + 1 the
+    even-type branch j; any other pair means the roots failed to interlace.
+    When y is that branch's lower root (on_k, resp. on_j), x = d falls
+    exactly on a branch boundary: both neighboring branch values are
+    reported and the weaker (larger) one is used, since validity of the
+    sharper branch is ambiguous there.
     """
-    inputs = {"n": n, "d": d}
     if d < 2 or d > n:
         return BoundVerdict(
             bound_name="levenshtein",
             applicable=False,
             reason=f"needs 2 <= d <= n, got d={d}",
-            inputs=inputs,
         )
-
-    def finish(value: Fraction | None, notes: tuple[str, ...] = ()) -> BoundVerdict:
-        if value is None or value <= 0:
-            return BoundVerdict(
-                bound_name="levenshtein",
-                applicable=False,
-                reason="branch evaluation degenerate at this point",
-                notes=notes,
-                inputs=inputs,
-            )
-        return BoundVerdict(
-            bound_name="levenshtein",
-            applicable=True,
-            value_on_2nK=value,
-            k_max=floor_log2(value) - n,
-            notes=notes,
-            inputs=inputs,
+    k, on_k = smallest_root_index(n - 1, 4, d - 1)
+    j, on_j = smallest_root_index(n - 2, 4, d - 1)
+    odd = _lev_value(k, n, d)
+    even = _lev_value(j, n - 1, d)
+    even = None if even is None else 4 * even
+    if k == j:
+        inner, outer, on_boundary = odd, even, on_k
+    elif k == j + 1:
+        inner, outer, on_boundary = even, odd, on_j
+    else:
+        raise InvariantError(
+            f"smallest Krawtchouk roots fail to interlace at n={n}, d={d}: "
+            f"index {k} at length {n - 1}, {j} at length {n - 2}"
         )
-
-    def scaled(value: Fraction | None) -> Fraction | None:
-        return None if value is None else 4 * value
-
-    def boundary(inner: Fraction | None, outer: Fraction | None) -> BoundVerdict:
-        candidates = [v for v in (inner, outer) if v is not None]
-        if not candidates:
-            return finish(None)
-        return finish(
-            max(candidates),
-            notes=(
+    value, notes = inner, ()
+    if on_boundary:
+        value = max((v for v in (inner, outer) if v is not None), default=None)
+        if value is not None:
+            notes = (
                 f"x=d lies exactly on a branch boundary; adjacent branch "
                 f"values {inner} and {outer}, the weaker one used",
-            ),
+            )
+    if value is None or value <= 0:
+        return BoundVerdict(
+            bound_name="levenshtein",
+            applicable=False,
+            reason="branch evaluation degenerate at this point",
+            notes=notes,
         )
-
-    for k in range(1, n):
-        # odd-type branch: d_k(n-1) + 1 < x < d_{k-1}(n-2) + 1
-        if k <= n - 1:
-            lower = compare_smallest_root(k, n - 1, 4, d - 1)
-            upper = -1 if k == 1 else compare_smallest_root(k - 1, n - 2, 4, d - 1)
-            if lower > 0 and upper < 0:
-                return finish(_lev_value(k, n, d))
-            if lower == 0:
-                # boundary shared with the even-type branch of the same k
-                return boundary(_lev_value(k, n, d), scaled(_lev_value(k, n - 1, d)))
-            if upper == 0:
-                return boundary(_lev_value(k, n, d), scaled(_lev_value(k - 1, n - 1, d)))
-        # even-type branch: d_k(n-2) + 1 < x < d_k(n-1) + 1
-        if k <= n - 2:
-            lower = compare_smallest_root(k, n - 2, 4, d - 1)
-            upper = compare_smallest_root(k, n - 1, 4, d - 1)
-            if lower > 0 and upper < 0:
-                return finish(scaled(_lev_value(k, n - 1, d)))
-            if lower == 0:
-                outer = _lev_value(k + 1, n, d) if k + 1 <= n - 1 else None
-                return boundary(scaled(_lev_value(k, n - 1, d)), outer)
     return BoundVerdict(
         bound_name="levenshtein",
-        applicable=False,
-        reason="x=d falls outside every piecewise branch at this length",
-        inputs=inputs,
+        applicable=True,
+        value_on_2nK=value,
+        k_max=floor_log2(value) - n,
+        notes=notes,
     )
 
 
@@ -369,6 +347,10 @@ class LPVerdict:
 
 def _lp_rows(n: int, d: int) -> tuple[list[list[Fraction]], int]:
     """Constraint matrix over variables B_d .. B_n plus surplus columns."""
+    if not 1 <= d <= n:
+        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if n > LP_SIZE_CAP:
+        raise CapacityError(f"n={n} exceeds the exact-LP cap {LP_SIZE_CAP}")
     nb = n - d + 1
     ns = n - d + 1  # one surplus per inequality row t = d .. n
     rows = []
@@ -417,10 +399,6 @@ def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
     K = Fraction(K)
     if K <= 0:
         raise ParameterError(f"K must be positive, got {K}")
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if n > LP_SIZE_CAP:
-        raise CapacityError(f"n={n} exceeds the exact-LP cap {LP_SIZE_CAP}")
     from .simplex import solve_lp
 
     rows, nb = _lp_rows(n, d)
@@ -452,10 +430,6 @@ def lp_critical_K(n: int, d: int) -> Fraction | None:
     The zero-forcing and nonnegativity constraints do not involve K, so the
     feasible K form an interval whose top is (1 + max sum B_i) / 2^n.
     """
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if n > LP_SIZE_CAP:
-        raise CapacityError(f"n={n} exceeds the exact-LP cap {LP_SIZE_CAP}")
     from .simplex import solve_lp
 
     rows, nb = _lp_rows(n, d)
@@ -512,7 +486,6 @@ def mixed_hamming_check(l: int, n_total: int, dim: int, d: int) -> BoundVerdict:
             "radius": e,
             "dim_max": 2 * n_total - l - ceil_log2(Fraction(ball)),
         },
-        inputs={"l": l, "n_total": n_total, "dim": dim, "d": d},
     )
     if d % 2 == 0:
         verdict.notes = (
@@ -539,7 +512,6 @@ def degenerate_hamming_check(
         )
     verdict = mixed_hamming_check(l=k1, n_total=n - k0, dim=2 * k, d=d)
     verdict.bound_name = "degenerate_hamming"
-    verdict.inputs = {"n": n, "k": k, "k0": k0, "k1": k1, "d": d}
     tight_rhs = verdict.details["rhs"]
     loose_rhs = 1 << (2 * k0 + 3 * k1)
     verdict.details["rhs_tight"] = tight_rhs

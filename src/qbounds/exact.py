@@ -26,7 +26,10 @@ recurrence runs in Fractions, and in polynomial form it gives the
 power-basis coefficients.  Because (-1)^t P_t has a positive leading
 coefficient and the recurrence's last coefficient is negative, P_0 .. P_k
 is a Sturm sequence: its sign changes at x count the roots of P_k above
-x, which places x against the smallest root exactly.
+x.  So x lies below the smallest root of P_k exactly when P_0 .. P_k are
+all positive at x, and one scan of the column P_0(x) .. P_n(x) for its
+first nonpositive entry (the smallest-root index of x) places x against
+the smallest root of every P_k at once.
 """
 
 from __future__ import annotations
@@ -264,28 +267,36 @@ def krawtchouk_expand(f: ExactPolynomial) -> KrawtchoukExpansion:
 # ---------------------------------------------------------------------------
 
 
+def smallest_root_index(n: int, q: int, x: Fraction | int) -> tuple[int, bool]:
+    """The least t with P_t(x, n) <= 0 (n + 1 if none), and whether that value is 0.
+
+    Exact, from the signs of P_0(x) .. P_n(x).  For 1 <= k <= n, x lies
+    below the smallest root of P_k when k < t: the sign changes of
+    (-1)^s P_s(x), s = 0 .. k, count the roots of P_k above x, so x is
+    below all k of them exactly when every P_s(x) is positive.  x is that
+    smallest root when k == t and P_t(x) = 0 (the roots of P_{k-1}
+    interlace those of P_k, and x lies below all of them), and above it
+    otherwise.
+    """
+    _validate_tnq(0, n, q)
+    values = _column(n, Fraction(x), n, q)
+    t = next((t for t, v in enumerate(values) if v <= 0), n + 1)
+    return t, t <= n and values[t] == 0
+
+
 def compare_smallest_root(k: int, n: int, q: int, x: Fraction | int) -> int:
     """Trichotomy of rational x against the smallest root of P_k(x, n).
 
     Returns -1 when x is strictly below the smallest root, 0 when x equals
-    it exactly, +1 when strictly above.  Exact: decided by the signs of
-    P_0(x) .. P_k(x), never by an approximation.
-
-    When P_k(x) != 0, the sign changes of (-1)^t P_t(x), t = 0 .. k, count
-    the roots of P_k above x, so x is below all k of them exactly when
-    every P_t(x) is positive.  When P_k(x) = 0, the roots of P_{k-1}
-    interlace those of P_k, so x is the smallest root exactly when it lies
-    below all roots of P_{k-1}.
+    it exactly, +1 when strictly above; read off :func:`smallest_root_index`.
     """
     if k == 0:
         raise ParameterError("P_0 is constant and has no roots")
     _validate_tnq(k, n, q)
-    values = _column(k, Fraction(x), n, q)
-    if all(v > 0 for v in values):
+    t, on_root = smallest_root_index(n, q, x)
+    if k < t:
         return -1
-    if values[k] == 0 and all(v > 0 for v in values[:k]):
-        return 0
-    return 1
+    return 0 if k == t and on_root else 1
 
 
 # ---------------------------------------------------------------------------

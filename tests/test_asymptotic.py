@@ -138,15 +138,6 @@ def test_hamming_degenerate_limits_and_crosscheck():
     assert sample.rate == pytest.approx(lam, abs=1e-9)
 
 
-def test_hamming_degenerate_half_radius_flag():
-    printed = curve_hamming_degenerate(100)
-    halved = curve_hamming_degenerate(100, half_radius=True)
-    assert halved[-1].delta == pytest.approx(1.5, abs=1e-9)
-    # at equal delta (grids differ by 2x) the halved reading allows more rate
-    assert halved[20].delta == pytest.approx(printed[40].delta, abs=1e-12)
-    assert halved[20].rate > printed[40].rate
-
-
 def test_tabulated_bound_interpolation_and_validation():
     bound = tabulated_bound([(0.0, 1.0), (0.5, 0.5), (0.75, 0.0)])
     assert bound(0.25) == pytest.approx(0.75)
@@ -157,6 +148,24 @@ def test_tabulated_bound_interpolation_and_validation():
         tabulated_bound([(0.0, 1.0), (0.0, 0.5)])
     with pytest.raises(ParameterError):
         tabulated_bound([(0.0, 0.5), (0.5, 0.9)])
+
+    # a long table gives, at every knot and midpoint, the float that a
+    # linear scan for the first interval holding delta gives
+    deltas = [i / 2000 for i in range(2001)]
+    rates = [(1.0 - x) ** 2 for x in deltas]
+    long_bound = tabulated_bound(list(zip(deltas, rates)))
+
+    def scanned(delta):
+        if delta <= deltas[0]:
+            return rates[0]
+        if delta >= deltas[-1]:
+            return rates[-1]
+        i = next(i for i in range(2000) if deltas[i] <= delta <= deltas[i + 1])
+        t = (delta - deltas[i]) / (deltas[i + 1] - deltas[i])
+        return rates[i] + t * (rates[i + 1] - rates[i])
+
+    probes = deltas + [(a + b) / 2 for a, b in zip(deltas, deltas[1:])]
+    assert [long_bound(x) for x in probes] == [scanned(x) for x in probes]
 
 
 def test_csv_plugin_round_trip(tmp_path):

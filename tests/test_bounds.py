@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from krawtchouk_oracle import singleton_polynomial
+from qbounds import bounds
 from qbounds.bounds import (
     LP_SIZE_CAP,
     ceil_log2,
@@ -26,7 +27,7 @@ from qbounds.bounds import (
     verify_lp_certificate,
     verify_lp_witness,
 )
-from qbounds.errors import CapacityError, ParameterError
+from qbounds.errors import CapacityError, InvariantError, ParameterError
 from qbounds.exact import ExactPolynomial, binomial
 
 FIVE_QUBIT_B = (1, 0, 0, 30, 15, 18)
@@ -182,6 +183,14 @@ def test_golden_levenshtein_verdicts():
             fields = (n, d, v.applicable, v.value_on_2nK, v.k_max, v.reason, v.notes)
             digest.update(repr(fields).encode())
     assert digest.hexdigest() == GOLDEN_LEVENSHTEIN
+
+
+def test_levenshtein_rejects_roots_that_fail_to_interlace(monkeypatch):
+    # indices 1 at length 4 and 3 at length 3 name no branch
+    indices = {4: (1, False), 3: (3, False)}
+    monkeypatch.setattr(bounds, "smallest_root_index", lambda m, q, x: indices[m])
+    with pytest.raises(InvariantError, match="interlace"):
+        levenshtein_bound(5, 3)
 
 
 # ---------------------------------------------------------------------------

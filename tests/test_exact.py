@@ -23,6 +23,7 @@ from qbounds.exact import (
     krawtchouk_expand,
     krawtchouk_table,
     macwilliams_transform,
+    smallest_root_index,
 )
 
 
@@ -173,12 +174,16 @@ def test_compare_smallest_root_matches_sturm_oracle():
     points = exact_roots = 0
     for n in range(1, 15):
         grid = [F(j, 4) for j in range(-2, 4 * n + 3)]
-        for k in range(1, n + 1):
-            for x in grid:
-                expected = compare_smallest_root_sturm(k, n, 4, x)
+        for x in grid:
+            oracle = [compare_smallest_root_sturm(k, n, 4, x) for k in range(1, n + 1)]
+            for k, expected in enumerate(oracle, 1):
                 assert compare_smallest_root(k, n, 4, x) == expected, (k, n, x)
                 points += 1
                 exact_roots += krawtchouk_eval(k, x, n) == 0
+            # the index is the least k with x at or above the smallest root
+            t = next((k for k, c in enumerate(oracle, 1) if c >= 0), n + 1)
+            on_root = t <= n and oracle[t - 1] == 0
+            assert smallest_root_index(n, 4, x) == (t, on_root), (n, x)
     assert points == 4585
     assert exact_roots > 0  # the interlacing case is exercised
 

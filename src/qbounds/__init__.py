@@ -75,7 +75,6 @@ from .gf4 import (
 )
 from .asymptotic import (
     CurvePoint,
-    CurveSpec,
     curve_hamming_degenerate,
     curve_nondeg_general,
     curve_stabilizer,

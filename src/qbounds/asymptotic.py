@@ -195,17 +195,6 @@ class CurvePoint:
     rate: float
 
 
-@dataclass
-class CurveSpec:
-    """Request for one asymptotic curve."""
-
-    curve_id: str
-    samples: int = 200
-    kappa1: float = 0.0
-    classical_bound: ClassicalBound | None = None
-    classical_label: str = ""
-
-
 def _grid(lo: float, hi: float, samples: int) -> list[float]:
     if samples < 2:
         raise ParameterError(f"need at least 2 samples, got {samples}")
@@ -330,32 +319,44 @@ def curve_hamming_degenerate(samples: int = 200) -> list[CurvePoint]:
 # ---------------------------------------------------------------------------
 
 
-def generate_curve(spec: CurveSpec) -> tuple[list[CurvePoint], list[str]]:
-    """Points plus deterministic provenance/metadata comment lines."""
-    if spec.curve_id not in CURVE_IDS:
-        raise ParameterError(f"unknown curve id {spec.curve_id!r}")
-    meta = [f"curve: {spec.curve_id}", f"samples: {spec.samples}"]
-    if spec.curve_id == "B":
-        points = curve_nondeg_general(spec.samples)
+def generate_curve(
+    curve_id: str,
+    samples: int = 200,
+    kappa1: float = 0.0,
+    classical_csv: str | None = None,
+) -> tuple[list[CurvePoint], list[str]]:
+    """Points plus deterministic provenance/metadata comment lines.
+
+    ``classical_csv`` names a 'delta,rate' table that replaces the built-in
+    classical bound, and the metadata names it by that path.  It is read,
+    and any defect raised, for every id, also for B and hamming-degenerate,
+    which consume no classical bound.
+    """
+    if curve_id not in CURVE_IDS:
+        raise ParameterError(f"unknown curve id {curve_id!r}")
+    classical = load_classical_bound_csv(classical_csv) if classical_csv else None
+    meta = [f"curve: {curve_id}", f"samples: {samples}"]
+    if curve_id == "B":
+        points = curve_nondeg_general(samples)
         meta.append(
             "normalization: rate = 2*H4(x) - 1, delta = gamma4(x); pinned by the "
             "endpoints (rate 1 at delta 0; rate 0 near delta 0.316)"
         )
         return points, meta
-    if spec.curve_id == "hamming-degenerate":
-        points = curve_hamming_degenerate(spec.samples)
+    if curve_id == "hamming-degenerate":
+        points = curve_hamming_degenerate(samples)
         meta.append("fixed point: rate = (1 - H4(mu))/(1 + H4(mu)), mu = delta/(1 + rate)")
         return points, meta
-    standin = f"first-lp-gf{_standin_q(spec.curve_id)} (built-in stand-in)"
-    meta.append(f"classical_bound: {spec.classical_label or standin}")
-    if spec.curve_id == "A":
+    standin = f"first-lp-gf{_standin_q(curve_id)} (built-in stand-in)"
+    meta.append(f"classical_bound: {f'table:{classical_csv}' if classical else standin}")
+    if curve_id == "A":
         meta.append(
             "note: with the built-in first-LP stand-in the zero-rate endpoint "
             "is ~0.316; the strongest published quaternary bound would give "
             "~0.308 and is not built in (supply --classical-bound to use it)"
         )
-    if spec.curve_id == "fig2":
-        meta.append(f"kappa1: {spec.kappa1!r}")
+    if curve_id == "fig2":
+        meta.append(f"kappa1: {kappa1!r}")
         meta.append("valid while kappa1 < 2*rate; curve ends at rate kappa1/2")
-    points = curve_stabilizer(spec.curve_id, spec.classical_bound, spec.kappa1, spec.samples)
+    points = curve_stabilizer(curve_id, classical, kappa1, samples)
     return points, meta

@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError
 from .exact import (
-    ExactPolynomial,
     KrawtchoukExpansion,
     binomial,
     krawtchouk_eval,
@@ -107,11 +106,8 @@ class FeasiblePolynomial:
 
     ``accepted`` is False when any condition fails; every violated index is
     listed in ``violations``.  ``values`` records f(i) for i = 0 .. n.
-    ``f`` is None for the named bounds, which build ``values`` and
-    ``expansion`` directly and never form the power basis.
     """
 
-    f: ExactPolynomial | None
     expansion: KrawtchoukExpansion
     n: int
     d: int
@@ -120,21 +116,21 @@ class FeasiblePolynomial:
     values: tuple[Fraction, ...]
 
 
-def check_conditions(f: ExactPolynomial, n: int, d: int) -> FeasiblePolynomial:
-    """Exact sign certificate: f_0 > 0, f_i >= 0, f(0) > 0, f(i) <= 0 on [d, n]."""
-    if f.n != n:
-        raise ParameterError(f"polynomial ambient length {f.n} does not match n={n}")
+def check_conditions(values: Sequence[Fraction | int], d: int) -> FeasiblePolynomial:
+    """Exact sign certificate: f_0 > 0, f_i >= 0, f(0) > 0, f(i) <= 0 on [d, n].
+
+    f is the polynomial of degree <= n taking ``values`` at 0 .. n, so n is
+    ``len(values) - 1``; its coefficients are taken in the quaternary basis.
+    """
+    n = len(values) - 1
     if not 1 <= d <= n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
-    values = [f(i) for i in range(n + 1)]
-    return _sign_certificate(values, KrawtchoukExpansion.from_values(values, n, f.q), d, f)
+    values = [Fraction(v) for v in values]
+    return _sign_certificate(values, KrawtchoukExpansion.from_values(values, n), d)
 
 
 def _sign_certificate(
-    values: Sequence[Fraction],
-    expansion: KrawtchoukExpansion,
-    d: int,
-    f: ExactPolynomial | None = None,
+    values: Sequence[Fraction], expansion: KrawtchoukExpansion, d: int
 ) -> FeasiblePolynomial:
     """The conditions of :func:`check_conditions` on the values and coefficients of f."""
     n = expansion.n
@@ -150,7 +146,6 @@ def _sign_certificate(
         if values[i] > 0:
             violations.append(f"f({i}) = {values[i]} is positive")
     return FeasiblePolynomial(
-        f=f,
         expansion=expansion,
         n=n,
         d=d,
@@ -187,7 +182,7 @@ def singleton_bound(n: int, d: int) -> BoundVerdict:
     # the product at the integers 0 .. n; it vanishes from d on
     top, den = Fraction(4) ** (n - d + 1), math.prod(range(d, n + 1))
     values = [top * math.prod(j - i for j in range(d, n + 1)) / den for i in range(n + 1)]
-    fp = _sign_certificate(values, KrawtchoukExpansion.from_values(values, n), d)
+    fp = check_conditions(values, d)
     if not fp.accepted:
         raise InvariantError(
             "Singleton polynomial rejected: " + "; ".join(fp.violations)

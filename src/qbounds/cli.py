@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__, bounds, gf4
-from .asymptotic import CURVE_IDS, CurveSpec, generate_curve, load_classical_bound_csv
+from .asymptotic import CURVE_IDS, generate_curve
 from .errors import (
     CapacityError,
     InvariantError,
@@ -53,6 +53,11 @@ TABLE_SIZE_CAP = 30
 # 50,000 samples of the slowest curve (E, or fig2 near kappa1 = 1; 35-56 us a
 # sample) take 1.7-2.8 s on a 2-vCPU host.
 CURVE_SAMPLES_CAP = 50_000
+# K's numerator and denominator take at most n + 8 bits, which admits every
+# K = 2^k with |k| <= n.  With such a K the slowest `lp --n 24` found took
+# 1.6 s on a 2-vCPU host (1.2 s at n + 1 bits, 0.4 s at K = 1); 166-bit
+# parts took 11 s.
+K_BITS_OVER_N = 8
 
 
 def _fmt(value) -> object:
@@ -66,11 +71,25 @@ def _fmt(value) -> object:
     return value
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"not a rational number: {text!r}") from exc
+def _query_K(n: int, k: int | None, text: str | None) -> Fraction:
+    """K = 2^k, or the rational ``text``; refused past the size cap before it is formed."""
+    if k is not None:
+        bits = abs(k) + 1
+    else:
+        # Fraction forms 10^|e| for a decimal exponent e before its size can be
+        # checked (1e3000000 takes 2 s); no K within the cap needs |e| >= 10^4
+        _, e, exponent = text.lower().partition("e")
+        if e and len(exponent.strip().lstrip("+-").replace("_", "").lstrip("0")) > 4:
+            raise CapacityError("K has a decimal exponent of more than four digits")
+        try:
+            K = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParameterError(f"not a rational number: {text!r}") from exc
+        bits = max(K.numerator.bit_length(), K.denominator.bit_length())
+    cap = max(n, 0) + K_BITS_OVER_N
+    if bits > cap:
+        raise CapacityError(f"K has a {bits}-bit numerator or denominator, over the {cap}-bit cap")
+    return K if k is None else Fraction(2) ** k
 
 
 def _bound_names(command: str, text: str, allowed: Sequence[str]) -> list[str] | None:
@@ -145,7 +164,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if (args.k is None) == (args.K is None):
         print("check: provide exactly one of --k or --K", file=sys.stderr)
         return EXIT_USAGE
-    K = Fraction(2) ** args.k if args.k is not None else _parse_rational(args.K)
+    K = _query_K(n, args.k, args.K)
     if K <= 0:
         print(f"check: K must be positive, got {K}", file=sys.stderr)
         return EXIT_USAGE
@@ -241,7 +260,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     code = gf4.parse_code(text)
     pair = gf4.enumerators(code)
     params = pair.params
-    sf = gf4.standard_form(code)
+    sf = code.form
     payload = {
         "file": args.code_file,
         "n": params.n,
@@ -263,7 +282,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "restricted": t.restricted,
                 "relation": "quantum d <= classical d",
             }
-            for t in gf4.reduction_targets(sf, params)
+            for t in gf4.reduction_targets(sf)
         ],
         "reduction_witnesses": [
             {
@@ -274,7 +293,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "distance": w.distance,
                 "sound": w.distance >= params.d,
             }
-            for w in gf4.reduction_witnesses(code, sf, params)
+            for w in gf4.reduction_witnesses(code)
         ],
     }
     _emit(payload, args.format, args.meta)
@@ -282,7 +301,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_lp(args: argparse.Namespace) -> int:
-    K = _parse_rational(args.K)
+    K = _query_K(args.n, None, args.K)
     result = bounds.lp_feasible(args.n, K, args.d)
     payload: dict = {
         "n": args.n,
@@ -306,19 +325,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         raise CapacityError(
             f"samples={args.samples} exceeds the curves cap {CURVE_SAMPLES_CAP}"
         )
-    classical = None
-    label = ""
-    if args.classical_bound:
-        classical = load_classical_bound_csv(args.classical_bound)
-        label = f"table:{args.classical_bound}"
-    spec = CurveSpec(
-        curve_id=args.id,
-        samples=args.samples,
-        kappa1=args.kappa1,
-        classical_bound=classical,
-        classical_label=label,
-    )
-    points, meta = generate_curve(spec)
+    points, meta = generate_curve(args.id, args.samples, args.kappa1, args.classical_bound)
     for line in meta:
         print(f"# {line}")
     if args.meta:

@@ -228,6 +228,11 @@ class AdditiveCode:
         """:func:`_complement_basis` of the code (computed once per code)."""
         return tuple(_complement_basis(self))
 
+    @cached_property
+    def form(self) -> StandardForm:
+        """:func:`standard_form` of the code (computed once per code)."""
+        return standard_form(self)
+
 
 # ---------------------------------------------------------------------------
 # parsing and formatting
@@ -577,17 +582,14 @@ def _complement_basis(code: AdditiveCode) -> list[int]:
     return extra
 
 
-def complementary_code(
-    code: AdditiveCode, sf: StandardForm | None = None
-) -> ComplementaryCode | None:
+def complementary_code(code: AdditiveCode) -> ComplementaryCode | None:
     """Reduced complement of C inside dual(C); None when k = 0."""
     _require_self_orthogonal(code)
     n = code.n
     k = n - code.rank
     if k == 0:
         return None
-    if sf is None:
-        sf = standard_form(code)
+    sf = code.form
     k0, rows = sf.k0, sf.rows
     reduced = []
     for v in code.complement_basis:
@@ -634,15 +636,9 @@ class ReductionTarget:
     restricted: int = 0
 
 
-def reduction_targets(sf: StandardForm, params: QuantumParams) -> list[ReductionTarget]:
+def reduction_targets(sf: StandardForm) -> list[ReductionTarget]:
     """Classical descriptors implied by the code's (k0, k1) structure."""
-    n, k = params.n, params.k
-    if sf.n != n or sf.k != k:
-        raise ParameterError(
-            f"standard form (n={sf.n}, k={sf.k}) inconsistent with params "
-            f"(n={n}, k={k})"
-        )
-    k0, k1 = sf.k0, sf.k1
+    n, k, k0, k1 = sf.n, sf.k, sf.k0, sf.k1
     targets = [
         ReductionTarget("mixed_additive", n - k0, 2 * k, restricted=k1),
     ]
@@ -677,20 +673,11 @@ def _restricted_free_subcode(comp: ComplementaryCode) -> AdditiveCode | None:
     return AdditiveCode(m - k1, tuple(tail))
 
 
-def reduction_witnesses(
-    code: AdditiveCode,
-    sf: StandardForm | None = None,
-    params: QuantumParams | None = None,
-) -> list[ReductionWitness]:
-    """Brute-forced classical distances of the concrete reduction codes."""
-    if params is None:
-        params = quantum_distance(code)
-    if params.k == 0:
+def reduction_witnesses(code: AdditiveCode) -> list[ReductionWitness]:
+    """Brute-forced classical distances of the concrete reduction codes; none when k = 0."""
+    comp = complementary_code(code)
+    if comp is None:
         return []
-    if sf is None:
-        sf = standard_form(code)
-    comp = complementary_code(code, sf)
-    assert comp is not None
     witnesses = [
         ReductionWitness(
             ReductionTarget(
@@ -709,7 +696,7 @@ def reduction_witnesses(
                 witnesses[0].distance,
             )
         )
-    elif comp.k1 < 2 * params.k:
+    elif comp.k1 < 2 * (code.n - code.rank):
         sub = _restricted_free_subcode(comp)
         if sub is not None:
             witnesses.append(

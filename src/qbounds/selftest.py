@@ -70,7 +70,7 @@ def check_fixtures() -> Check:
         code = gf4.parse_code(fixture_text(name))
         # enumerators raises on any transform-identity failure
         params = gf4.enumerators(code).params
-        sf = gf4.standard_form(code)
+        sf = code.form
         got = {
             "n": params.n,
             "k": params.k,
@@ -115,7 +115,7 @@ def check_reduction_soundness(trials: int = 25, seed: int = 977) -> Check:
         params = gf4.quantum_distance(code)
         if params.k == 0:
             continue
-        for witness in gf4.reduction_witnesses(code, params=params):
+        for witness in gf4.reduction_witnesses(code):
             if witness.distance < params.d:
                 bad.append(f"{code}: {witness} vs d={params.d}")
     return ("reduction-soundness", not bad, "; ".join(bad) or f"{len(corpus)} codes")

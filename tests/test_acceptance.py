@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from qbounds import bounds, gf4
-from qbounds.asymptotic import CurveSpec, curve_nondeg_general, curve_stabilizer, generate_curve
+from qbounds.asymptotic import curve_nondeg_general, curve_stabilizer, generate_curve
 from qbounds.cli import main
 from qbounds.exact import binomial, krawtchouk_eval, macwilliams_transform
 from qbounds.selftest import fixture_manifest, fixture_text
@@ -114,7 +114,7 @@ def test_criterion_5_asymptotic_endpoints():
     # the reference-curve endpoint 0.308 is NOT reproducible from built-ins;
     # the first-LP stand-in endpoint ~0.316 is asserted, and the discrepancy
     # is spelled out in the emitted metadata.
-    curve_a, meta = generate_curve(CurveSpec("A", samples=400))
+    curve_a, meta = generate_curve("A", samples=400)
     assert curve_a[-1].rate < 1e-6
     assert abs(curve_a[-1].delta - 0.31610) <= 1e-3, curve_a[-1]
     assert any("0.308" in line for line in meta)
@@ -137,7 +137,7 @@ def test_criterion_6_reduction_soundness():
         params = gf4.quantum_distance(code)  # exhaustive search
         if params.k == 0:
             continue
-        witnesses = gf4.reduction_witnesses(code, params=params)
+        witnesses = gf4.reduction_witnesses(code)
         assert witnesses, code
         for witness in witnesses:
             assert witness.distance >= params.d, (code, witness, params)

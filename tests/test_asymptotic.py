@@ -5,7 +5,6 @@ import math
 import pytest
 
 from qbounds.asymptotic import (
-    CurveSpec,
     curve_hamming_degenerate,
     curve_nondeg_general,
     curve_stabilizer,
@@ -190,10 +189,10 @@ def test_csv_plugin_requires_header(tmp_path):
 
 
 def test_generate_curve_metadata():
-    _, meta = generate_curve(CurveSpec("A", samples=16))
+    _, meta = generate_curve("A", samples=16)
     joined = "\n".join(meta)
     assert "0.308" in joined and "stand-in" in joined
-    _, meta = generate_curve(CurveSpec("B", samples=16))
+    _, meta = generate_curve("B", samples=16)
     assert any("normalization" in line for line in meta)
     with pytest.raises(ParameterError):
-        generate_curve(CurveSpec("Z", samples=16))
+        generate_curve("Z", samples=16)

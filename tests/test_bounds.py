@@ -52,14 +52,19 @@ def test_floor_ceil_log2():
 # ---------------------------------------------------------------------------
 
 
+def _values(f):
+    """f(0) .. f(n) of a power-basis polynomial of ambient length n."""
+    return [f(i) for i in range(f.n + 1)]
+
+
 def test_singleton_polynomial_accepted():
-    fp = check_conditions(singleton_polynomial(5, 3), 5, 3)
+    fp = check_conditions(_values(singleton_polynomial(5, 3)), 3)
     assert fp.accepted
     assert all(c >= 0 for c in fp.expansion.coeffs)
 
 
 def test_constant_polynomial_rejected_with_indices():
-    fp = check_conditions(ExactPolynomial((F(1),), 5), 5, 3)
+    fp = check_conditions(_values(ExactPolynomial((F(1),), 5)), 3)
     assert not fp.accepted
     assert any("f(3)" in v for v in fp.violations)
     assert any("f(5)" in v for v in fp.violations)
@@ -68,16 +73,14 @@ def test_constant_polynomial_rejected_with_indices():
 
 
 def test_hamming_polynomial_vanishes_exactly():
-    fp = check_conditions(hamming_expansion(5, 3).synthesize(), 5, 3)
+    fp = check_conditions(_values(hamming_expansion(5, 3).synthesize()), 3)
     assert fp.accepted
     assert fp.values[3] == fp.values[4] == fp.values[5] == 0
 
 
 def test_check_conditions_parameter_errors():
     with pytest.raises(ParameterError):
-        check_conditions(ExactPolynomial((F(1),), 5), 5, 0)
-    with pytest.raises(ParameterError):
-        check_conditions(ExactPolynomial((F(1),), 4), 5, 3)
+        check_conditions(_values(ExactPolynomial((F(1),), 5)), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from qbounds import gf4
+from qbounds import bounds, gf4
 from qbounds.bounds import LP_SIZE_CAP
 from qbounds.cli import (
     CHECK_SIZE_CAP,
     CURVE_SAMPLES_CAP,
     EXIT_INTERNAL,
+    K_BITS_OVER_N,
     TABLE_SIZE_CAP,
     main,
 )
@@ -225,6 +226,40 @@ def test_check_rejects_nonpositive_K(capsys, bounds, K):
     assert "K must be positive" in err and len(err.strip().splitlines()) == 1
 
 
+# at n = 5, K's numerator and denominator take at most 5 + K_BITS_OVER_N bits
+K_CAP_5 = 5 + K_BITS_OVER_N
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--k", "20000"),
+    ("check", "--k", "-20000"),
+    ("check", "--k", str(-K_CAP_5)),
+    ("check", "--K", "1e5000"),
+    ("check", "--K", "1e-5000"),
+    ("check", "--K", str(2**K_CAP_5)),
+    ("check", "--K", "1e30000000"),
+    ("lp", "--K", "1e5000"),
+    ("lp", "--K", "1e-5000"),
+    ("lp", "--K", f"1/{2**K_CAP_5}"),
+    ("lp", "--K", "1e-30000000"),
+], ids=lambda argv: " ".join(argv)[:24])
+def test_K_size_cap_exits_before_any_bound(capsys, monkeypatch, argv):
+    def refuse(*_):
+        raise AssertionError("a bound ran")
+
+    for name in ("singleton_bound", "hamming_bound", "levenshtein_bound", "lp_feasible"):
+        monkeypatch.setattr(bounds, name, refuse)
+    command, flag, value = argv
+    code, out, err = run(capsys, command, "--n", "5", flag, value, "--d", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("capacity:") and len(err.strip().splitlines()) == 1
+    assert value not in err and len(err) < 100
+    # every K = 2^k with |k| <= n fits, and so does the largest K under the cap
+    monkeypatch.undo()
+    for K in ("1/32", "32", str(2**K_CAP_5 - 1), f"1/{2**K_CAP_5 - 1}"):
+        assert run(capsys, command, "--n", "5", "--K", K, "--d", "3")[0] == 0
+
+
 def test_check_size_cap_exit(capsys):
     code, _, err = run(capsys, "check", "--n", str(CHECK_SIZE_CAP + 1), "--k", "1",
                        "--d", "3")
@@ -341,7 +376,7 @@ def test_analyze_checks_self_orthogonality_once(capsys, tmp_path, monkeypatch):
 
 
 def test_analyze_builds_dual_and_complement_once(capsys, tmp_path, monkeypatch):
-    calls = {"symplectic_dual": 0, "_complement_basis": 0}
+    calls = {"symplectic_dual": 0, "_complement_basis": 0, "standard_form": 0}
     for name in calls:
         original = getattr(gf4, name)
 
@@ -353,7 +388,7 @@ def test_analyze_builds_dual_and_complement_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "steane.code"
     path.write_text(fixture_text("steane.code"), encoding="utf-8")
     assert run(capsys, "analyze", str(path))[0] == 0
-    assert calls == {"symplectic_dual": 1, "_complement_basis": 1}
+    assert calls == {"symplectic_dual": 1, "_complement_basis": 1, "standard_form": 1}
 
 def test_analyze_errors(capsys, tmp_path):
     bad = tmp_path / "bad.code"
@@ -432,11 +467,13 @@ def test_curves_classical_bound_errors(capsys, tmp_path, body, fragment):
     table = tmp_path / "classical.csv"
     if body is not None:
         table.write_text(body, encoding="utf-8")
-    code, out, err = run(capsys, "curves", "--id", "E", "--samples", "20",
-                         "--classical-bound", str(table))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and fragment in err
-    assert len(err.strip().splitlines()) == 1
+    # B consumes no classical bound, but the table is read for every id
+    for curve_id in ("E", "B"):
+        code, out, err = run(capsys, "curves", "--id", curve_id, "--samples", "20",
+                             "--classical-bound", str(table))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_curves_samples_cap_exit(capsys):

@@ -82,7 +82,8 @@ def test_table_matches_defining_sum():
 
 
 def test_recurrence_off_the_table_matches_defining_sum():
-    # rational points and integers outside [0, n] take the Fraction recurrence
+    # integers outside [0, n] take the int recurrence, other rational points the
+    # Fraction one
     rng = random.Random(17)
     for _ in range(200):
         n = rng.randint(0, 14)

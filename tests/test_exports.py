@@ -4,7 +4,7 @@ import qbounds
 
 EXPORTS = [
     "AdditiveCode", "BinarySCode", "BoundVerdict", "CapacityError", "ComplementaryCode",
-    "CurvePoint", "CurveSpec", "EnumeratorPair", "ExactPolynomial", "FeasiblePolynomial",
+    "CurvePoint", "EnumeratorPair", "ExactPolynomial", "FeasiblePolynomial",
     "InvariantError", "KrawtchoukExpansion", "LPVerdict", "ParameterError", "ParseError",
     "QBoundsError", "QuantumParams", "ReductionTarget", "SolverError", "StandardForm",
     "StructureError", "asymptotic", "binary_s_code", "binomial", "bounds",

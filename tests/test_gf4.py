@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import gf4_oracle
+from qbounds import gf4
 from qbounds.errors import CapacityError, ParameterError, ParseError, StructureError
 from qbounds.gf4 import (
     ENUMERATION_CAP,
@@ -217,6 +218,9 @@ def test_k0_convention_uses_min_weight_of_code():
 def test_distance_rejects_non_self_orthogonal():
     with pytest.raises(StructureError):
         quantum_distance(parse_code("XX\nZX"))
+    for text in ("XX\nZX", "XII\nZII"):  # k = 0 and k = 1
+        with pytest.raises(StructureError):
+            reduction_witnesses(parse_code(text))
 
 
 def test_distance_matches_oracle_randomly():
@@ -414,8 +418,7 @@ def test_complementary_stack_span_random():
 def test_reduction_targets_five_qubit():
     code = parse_code(FIVE_QUBIT)
     sf = standard_form(code)
-    params = quantum_distance(code)
-    targets = reduction_targets(sf, params)
+    targets = reduction_targets(sf)
     assert [(t.kind, t.length, t.dimension, t.restricted) for t in targets] == [
         ("mixed_additive", 3, 2, 0),
         ("additive", 3, 2, 0),
@@ -425,7 +428,7 @@ def test_reduction_targets_five_qubit():
 
 def test_reduction_targets_c422():
     code = parse_code(C422)
-    targets = reduction_targets(standard_form(code), quantum_distance(code))
+    targets = reduction_targets(standard_form(code))
     assert [(t.kind, t.length, t.dimension) for t in targets] == [
         ("mixed_additive", 3, 4),
         ("additive", 3, 4),
@@ -438,8 +441,7 @@ def test_reduction_targets_guard_when_k1_large():
     # requires k1 < 2k
     code = parse_code("w w")
     sf = standard_form(code)
-    params = quantum_distance(code)
-    targets = reduction_targets(sf, params)
+    targets = reduction_targets(sf)
     kinds = [t.kind for t in targets]
     assert kinds == ["mixed_additive", "additive", "binary"]
     # and when k1 >= 2k the additive descriptor disappears: n=2 rank 3 would
@@ -449,18 +451,20 @@ def test_reduction_targets_guard_when_k1_large():
         code = random_self_orthogonal_code(3, 2, rng)
         sf = standard_form(code)
         if sf.k1 >= 2 * sf.k > 0:
-            targets = reduction_targets(sf, quantum_distance(code))
+            targets = reduction_targets(sf)
             assert [t.kind for t in targets] == ["mixed_additive", "binary"]
             break
     else:
         pytest.skip("no k1 >= 2k example found in sweep")
 
 
-def test_reduction_targets_rejects_mismatch():
-    code = parse_code(FIVE_QUBIT)
-    sf = standard_form(code)
-    with pytest.raises(ParameterError):
-        reduction_targets(sf, quantum_distance(parse_code(C422)))
+def test_reduction_witnesses_never_count_the_enumerators(monkeypatch):
+    def refuse(code):
+        raise AssertionError("reduction_witnesses counted C and its dual")
+
+    monkeypatch.setattr(gf4, "enumerators", refuse)
+    for text in (FIVE_QUBIT, C422, STEANE, "w w", "XX\nZZ"):
+        reduction_witnesses(parse_code(text))
 
 
 def test_reduction_witnesses_sound_on_fixtures():
@@ -557,7 +561,7 @@ def test_distances_match_word_scans():
             expected["additive"] = gf4_oracle.min_nonzero_weight(sub)
         if s_code.distance != expected["binary"]:
             bad.append((trial, "binary_s_code"))
-        for witness in reduction_witnesses(code, params=params):
+        for witness in reduction_witnesses(code):
             if witness.distance != expected[witness.target.kind]:
                 bad.append((trial, witness))
     assert bad == []
@@ -592,7 +596,7 @@ def test_reduction_layer_matches_symbol_list_oracle():
         sf, oracle_sf = standard_form(code), gf4_oracle.standard_form(code)
         comp = oracle_comp = sub = oracle_sub = rows = oracle_rows = None
         if code.is_self_orthogonal:
-            comp = complementary_code(code, sf)
+            comp = complementary_code(code)
             oracle_comp = gf4_oracle.complementary_code(code, oracle_sf)
             sub = comp and _restricted_free_subcode(comp)
             oracle_sub = oracle_comp and gf4_oracle._restricted_free_subcode(oracle_comp)

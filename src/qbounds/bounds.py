@@ -120,7 +120,7 @@ def check_conditions(values: Sequence[Fraction | int], d: int) -> FeasiblePolyno
     """Exact sign certificate: f_0 > 0, f_i >= 0, f(0) > 0, f(i) <= 0 on [d, n].
 
     f is the polynomial of degree <= n taking ``values`` at 0 .. n, so n is
-    ``len(values) - 1``; its coefficients are taken in the quaternary basis.
+    ``len(values) - 1``; f_0 .. f_n are its Krawtchouk coefficients for q = 4.
     """
     n = len(values) - 1
     if not 1 <= d <= n:

@@ -21,9 +21,9 @@ At the integers 0 .. n it fills the integer table P[t][i] = P_t(i, n)
 (cached, bounded), which drives point evaluation, the dual
 weight-distribution transform and the change between a polynomial's
 values f(0 .. n) and its Krawtchouk coefficients (the matrix
-M[i][t] = P_t(i, n) satisfies M^2 = q^n I).  At other integers x the same
-recurrence runs in ints, at other rational x in Fractions, and in
-polynomial form it gives the power-basis coefficients.  Because (-1)^t P_t has a positive leading
+M[i][t] = P_t(i, n) satisfies M^2 = q^n I).  At other x the recurrence
+runs in ints (integer x) or Fractions, and in polynomial form it gives the
+power-basis coefficients.  Because (-1)^t P_t has a positive leading
 coefficient and the recurrence's last coefficient is negative, P_0 .. P_k
 is a Sturm sequence: its sign changes at x count the roots of P_k above
 x.  So x lies below the smallest root of P_k exactly when P_0 .. P_k are
@@ -137,8 +137,7 @@ def krawtchouk_table(n: int, q: int = 4) -> tuple[tuple[int, ...], ...]:
 
 
 def _column(k: int, x: Fraction, n: int, q: int) -> list:
-    """P_0(x) .. P_k(x): from the table at integer x in [0, n], else by the
-    recurrence, which stays in ints at every other integer x."""
+    """P_0(x) .. P_k(x): from the table at integer x in [0, n], else by the recurrence."""
     if x.denominator == 1:
         x = x.numerator
         if 0 <= x <= n:

@@ -20,7 +20,7 @@ Curve ids follow the command-line surface:
     D  any stabilizer code via a binary [n+k, 2k] reduction,
        constraint 2 lambda/(1+lambda) <= R2(delta/(1+lambda))
     E  stabilizer codes with k1 = 0 via a quaternary [(n+k)/2, 2k] reduction,
-       constraint 2 lambda/(1+lambda) <= R4(2 delta/(1+lambda))
+       constraint 2 lambda/(1+lambda) <= R4(2 delta/(1+lambda)): fig2 at kappa1 = 0
     hamming-degenerate  sphere packing for degenerate codes,
        lambda = (1 - H4(mu)) / (1 + H4(mu)) with mu = delta/(1+lambda)
     fig2  the k1-parameterized family generalizing E,
@@ -234,11 +234,6 @@ def _stabilizer_constraint(
         return (
             lambda delta, lam: 2.0 * lam / (1.0 + lam) - bound(delta / (1.0 + lam))
         ), 0.0
-    if curve_id == "E":
-        return (
-            lambda delta, lam: 2.0 * lam / (1.0 + lam)
-            - bound(2.0 * delta / (1.0 + lam))
-        ), 0.0
     if curve_id == "fig2":
         def g(delta: float, lam: float) -> float:
             span = 1.0 + lam - kappa1
@@ -263,6 +258,8 @@ def curve_stabilizer(
     """
     if curve_id == "fig2" and not 0.0 <= kappa1 <= 1.0:
         raise ParameterError(f"kappa1 must lie in [0, 1], got {kappa1}")
+    if curve_id == "E":  # x - 0.0 == x: fig2's constraint and floor are E's, bit for bit
+        curve_id, kappa1 = "fig2", 0.0
     if classical_bound is None:
         classical_bound = first_lp_bound(_standin_q(curve_id))
     g, floor = _stabilizer_constraint(curve_id, classical_bound, kappa1)
@@ -334,7 +331,7 @@ def generate_curve(
     """
     if curve_id not in CURVE_IDS:
         raise ParameterError(f"unknown curve id {curve_id!r}")
-    classical = load_classical_bound_csv(classical_csv) if classical_csv else None
+    classical = load_classical_bound_csv(classical_csv) if classical_csv is not None else None
     meta = [f"curve: {curve_id}", f"samples: {samples}"]
     if curve_id == "B":
         points = curve_nondeg_general(samples)

@@ -340,22 +340,28 @@ class LPVerdict:
     certificate: tuple[Fraction, ...] | None = None
 
 
-def _lp_rows(n: int, d: int) -> tuple[list[list[Fraction]], int]:
-    """Constraint matrix over variables B_d .. B_n plus surplus columns."""
+def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
+    """Integer LP rows over B_d .. B_n and one surplus per row t >= d; rhs -P_t(0).
+
+    Row t is the transform identity with B_0 = 1 and B_1 .. B_{d-1} = 0,
+    sum_{i >= d} B_i P_t(i) = 2^n K A_t - P_t(0): A_t = 0 for 0 < t < d, and
+    for t >= d the surplus stands for 2^n K A_t >= 0.  Row 0 (A_0 = 1) holds
+    K: :func:`lp_feasible` adds 2^n K to its right-hand side, and
+    :func:`lp_critical_K` drops it.
+    """
     if not 1 <= d <= n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
     if n > LP_SIZE_CAP:
         raise CapacityError(f"n={n} exceeds the exact-LP cap {LP_SIZE_CAP}")
     nb = n - d + 1
-    ns = n - d + 1  # one surplus per inequality row t = d .. n
-    rows = []
+    rows, rhs = [], []
     for t, values in enumerate(krawtchouk_table(n)):
-        row = [Fraction(v) for v in values[d:]]
-        row += [_ZERO] * ns
+        surplus = [0] * nb
         if t >= d:
-            row[nb + (t - d)] = Fraction(-1)
-        rows.append(row)
-    return rows, nb
+            surplus[t - d] = -1
+        rows.append([*values[d:], *surplus])
+        rhs.append(-values[0])
+    return rows, rhs, nb
 
 
 def verify_lp_witness(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> bool:
@@ -390,33 +396,39 @@ def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) ->
 
 
 def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
-    """Decide the enumerator LP exactly; witness or dual certificate attached."""
+    """Decide the enumerator LP exactly; witness or dual certificate attached.
+
+    Below K = 2^-n the normalization row alone excludes K (B_0 = 1 and
+    B_i >= 0 give 2^n K = sum B_i >= 1), with the certificate
+    y = (-1, 0, ..., 0), so no simplex runs.
+    """
     K = Fraction(K)
     if K <= 0:
         raise ParameterError(f"K must be positive, got {K}")
     from .simplex import solve_lp
 
-    rows, nb = _lp_rows(n, d)
+    rows, rhs, nb = _lp_rows(n, d)
     scale = (Fraction(2) ** n) * K
-    rhs = [scale - 1] + [-krawtchouk_eval(t, 0, n) for t in range(1, n + 1)]
-    nvars = len(rows[0])
-    sol = solve_lp([_ZERO] * nvars, rows, rhs)
-    if sol.status == "infeasible":
+    cert = (-_ONE,) + (_ZERO,) * n  # excludes every K < 2^-n on its own
+    if scale >= 1:
+        rhs[0] += scale
+        sol = solve_lp([0] * len(rows[0]), rows, rhs)
+        if sol.status == "optimal":
+            assert sol.x is not None
+            B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
+            if not verify_lp_witness(n, K, d, B):
+                raise InvariantError("simplex produced an invalid feasibility witness")
+            A = macwilliams_transform(B, n, 4, scale)
+            return LPVerdict(
+                n=n, K=K, d=d, feasible=True, witness_B=tuple(B), witness_A=tuple(A)
+            )
+        if sol.status != "infeasible":
+            raise InvariantError(f"feasibility LP reported {sol.status}")
         assert sol.farkas is not None
         cert = tuple(sol.farkas)
-        if not verify_lp_certificate(n, K, d, cert):
-            raise InvariantError("simplex produced an invalid dual certificate")
-        return LPVerdict(n=n, K=K, d=d, feasible=False, certificate=cert)
-    if sol.status != "optimal":
-        raise InvariantError(f"feasibility LP reported {sol.status}")
-    assert sol.x is not None
-    B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
-    if not verify_lp_witness(n, K, d, B):
-        raise InvariantError("simplex produced an invalid feasibility witness")
-    A = macwilliams_transform(B, n, 4, scale)
-    return LPVerdict(
-        n=n, K=K, d=d, feasible=True, witness_B=tuple(B), witness_A=tuple(A)
-    )
+    if not verify_lp_certificate(n, K, d, cert):
+        raise InvariantError("invalid dual certificate")
+    return LPVerdict(n=n, K=K, d=d, feasible=False, certificate=cert)
 
 
 def lp_critical_K(n: int, d: int) -> Fraction | None:
@@ -427,11 +439,10 @@ def lp_critical_K(n: int, d: int) -> Fraction | None:
     """
     from .simplex import solve_lp
 
-    rows, nb = _lp_rows(n, d)
-    rows = rows[1:]  # drop the K-dependent normalization row
-    rhs = [-krawtchouk_eval(t, 0, n) for t in range(1, n + 1)]
-    cost = [Fraction(-1)] * nb + [_ZERO] * (len(rows[0]) - nb)
-    sol = solve_lp(cost, rows, rhs)
+    rows, rhs, nb = _lp_rows(n, d)
+    # without the K-dependent normalization row
+    cost = [-1] * nb + [0] * (len(rows[0]) - nb)
+    sol = solve_lp(cost, rows[1:], rhs[1:])
     if sol.status == "infeasible":
         return None
     if sol.status == "unbounded":

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Sequence
 
@@ -234,14 +235,11 @@ def cmd_table(args: argparse.Namespace) -> int:
             for name in names:
                 if name == "lp":
                     critical = bounds.lp_critical_K(n, d)
-                    if critical is None:
-                        cells.append("-")
-                    else:
-                        value = (Fraction(2) ** n) * critical
-                        cells.append(str(max(bounds.floor_log2(value) - n, 0)))
-                    continue
-                verdict = _closed_form(name, n, d)
-                cells.append(str(max(verdict.k_max, 0)) if verdict.applicable else "-")
+                    k_max = None if critical is None else bounds.floor_log2(critical)
+                else:
+                    verdict = _closed_form(name, n, d)
+                    k_max = verdict.k_max if verdict.applicable else None
+                cells.append("-" if k_max is None else str(max(k_max, 0)))
             print(f"{n},{d}," + ",".join(cells))
     return EXIT_OK
 
@@ -275,24 +273,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "transform_identity": "verified",
         },
         "reduction_targets": [
-            {
-                "kind": t.kind,
-                "length": t.length,
-                "dimension": t.dimension,
-                "restricted": t.restricted,
-                "relation": "quantum d <= classical d",
-            }
+            {**asdict(t), "relation": "quantum d <= classical d"}
             for t in gf4.reduction_targets(sf)
         ],
         "reduction_witnesses": [
-            {
-                "kind": w.target.kind,
-                "length": w.target.length,
-                "dimension": w.target.dimension,
-                "restricted": w.target.restricted,
-                "distance": w.distance,
-                "sound": w.distance >= params.d,
-            }
+            {**asdict(w.target), "distance": w.distance, "sound": w.distance >= params.d}
             for w in gf4.reduction_witnesses(code)
         ],
     }

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .exact import macwilliams_transform
 
-# Exhaustive weight scans walk 2^rank words; beyond this we refuse.
+# Exhaustive weight scans walk 2^rank words; beyond this we refuse.  One scan
+# takes about 1 s at rank 22 and 12-17 s at rank 26 on a 2-vCPU host.
 ENUMERATION_CAP = 26
 
 _SYMBOL_CHARS = "01wx"
@@ -113,9 +114,7 @@ def _rref(rows: Iterable[int], pivot_of: Callable[[int], int]) -> dict[int, int]
     """
     basis: dict[int, int] = {}
     for row in rows:
-        for p, r in basis.items():
-            if (row >> p) & 1:
-                row ^= r
+        row = _reduce(row, basis)
         if row:
             pivot = pivot_of(row)
             for p, r in list(basis.items()):
@@ -123,6 +122,14 @@ def _rref(rows: Iterable[int], pivot_of: Callable[[int], int]) -> dict[int, int]
                     basis[p] = r ^ row
             basis[pivot] = row
     return basis
+
+
+def _reduce(v: int, basis: dict[int, int]) -> int:
+    """v with every pivot bit cleared by the reduced echelon ``basis``, in one pass."""
+    for p, r in basis.items():
+        if (v >> p) & 1:
+            v ^= r
+    return v
 
 
 def gf2_echelon(rows: Iterable[int]) -> list[int]:
@@ -199,10 +206,6 @@ class AdditiveCode:
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.rank
 
     @cached_property
     def echelon(self) -> tuple[int, ...]:
@@ -480,13 +483,16 @@ def standard_form(code: AdditiveCode) -> StandardForm:
 
     Deterministic symplectic Gaussian elimination on the generators' ints:
     one pass over the columns in increasing order takes as pair pivots
-    those whose residual projection spans all of GF(4), then a second pass
-    takes as line pivots those where it is a single nonzero symbol line.
-    Row operations are GF(2) additions only; no coordinate is rescaled, so
-    a line pivot keeps whatever symbol the code provides (recorded in
-    ``line_pivots``).  The rows left after a pivot lie in the span of those
-    before it, so a column passed over never becomes a pivot later, and
-    one pass per pivot type finds every pivot.
+    those whose residual projection spans all of GF(4).  The rows left after
+    a pivot lie in the span of those before it, so a column passed over
+    never becomes a pair pivot later.  The remaining rows then meet each
+    column in one symbol line at most, and :func:`_rref` of them takes as
+    line pivots the columns where a row's lowest nonzero symbol sits.  Row
+    operations are GF(2) additions only; no coordinate is rescaled, so a
+    line pivot keeps whatever symbol the code provides (recorded in
+    ``line_pivots``).  Keyed by pivot bit (the X and Z bits of a pair pivot,
+    the high bit of a line pivot's symbol), ``rows`` is a reduced echelon
+    basis of the code.
     """
     n = code.n
     remaining = list(code.generators)
@@ -511,28 +517,23 @@ def standard_form(code: AdditiveCode) -> StandardForm:
         omega_rows = [r ^ elim[symbol(r, col, n)] for r in omega_rows] + [elim[2]]
         k0_cols.append(col)
 
-    # line pivots: residual projections are single nonzero symbol lines
-    rows = one_rows + omega_rows
-    k1_cols: list[int] = []
-    pivots: list[int] = []
-    for col in range(n):
-        if col in k0_cols:
-            continue
-        pr = _pop_line_pivot(remaining, col, n)
-        if pr is None:
-            continue
-        alpha = symbol(pr, col, n)
-        # reduce the finished rows at this column to canonical coset reps
-        for i, r in enumerate(rows):
-            s = symbol(r, col, n)
-            if s ^ alpha < s:
-                rows[i] = r ^ pr
-        rows.append(pr)
-        k1_cols.append(col)
-        pivots.append(alpha)
+    # line pivots: each column now meets the remaining rows in one symbol line
+    # at most, so their reduced echelon basis, pivoted at the high bit of a
+    # row's lowest nonzero symbol, takes one bit per line-pivot column
+    def line_bit(row: int) -> int:
+        col = _lowest_bit(row | row >> n)
+        return n + col if (row >> (n + col)) & 1 else col
 
-    if remaining:
+    line = _rref(remaining, line_bit)
+    if len(line) != len(remaining):
         raise InvariantError("independent rows left unconsumed by elimination")
+    bits = sorted(line, key=lambda p: p % n)
+    k1_cols = [p % n for p in bits]
+    if len(set(k1_cols)) != len(k1_cols):
+        raise InvariantError("two line pivots in one column")
+    # the pair rows, reduced at the line pivots to canonical coset reps
+    rows = [_reduce(r, line) for r in one_rows + omega_rows] + [line[p] for p in bits]
+    pivots = [symbol(line[p], p % n, n) for p in bits]
 
     used = k0_cols + k1_cols
     return StandardForm(
@@ -590,26 +591,18 @@ def complementary_code(code: AdditiveCode) -> ComplementaryCode | None:
     if k == 0:
         return None
     sf = code.form
-    k0, rows = sf.k0, sf.rows
-    reduced = []
-    for v in code.complement_basis:
-        for j, col in enumerate(sf.permutation[:k0]):
-            if symbol(v, col, n) & 1:
-                v ^= rows[j]
-            if symbol(v, col, n) & 2:
-                v ^= rows[k0 + j]
-            if symbol(v, col, n):
-                raise InvariantError("pair-pivot column failed to clear")
-        for j, alpha in enumerate(sf.line_pivots):
-            s = symbol(v, sf.permutation[k0 + j], n)
-            if s ^ alpha < s:
-                v ^= rows[2 * k0 + j]
-        reduced.append(v)
-
+    k0, cols = sf.k0, sf.permutation
+    # sf.rows keyed by pivot bit: X then Z bit of each pair pivot, then the
+    # high bit of each line pivot's symbol; a reduced echelon basis of C
+    bits = [*cols[:k0], *(n + c for c in cols[:k0])]
+    bits += [c + n * (alpha >> 1) for c, alpha in zip(cols[k0:], sf.line_pivots)]
+    basis = dict(zip(bits, sf.rows))
+    reduced = [_reduce(v, basis) for v in code.complement_basis]
+    if any((v >> p) & 1 for v in reduced for p in basis):
+        raise InvariantError("complement row keeps a pivot bit of C")
     if gf2_rank(list(code.generators) + reduced) != n + k:
         raise InvariantError("complement stacked with C does not span the dual")
-    tail = sf.permutation[k0:]
-    punctured = AdditiveCode(n - k0, tuple(_restrict(v, tail, n) for v in reduced))
+    punctured = AdditiveCode(n - k0, tuple(_restrict(v, cols[k0:], n) for v in reduced))
     return ComplementaryCode(AdditiveCode(n, tuple(reduced)), punctured, k0, sf.k1)
 
 
@@ -637,7 +630,14 @@ class ReductionTarget:
 
 
 def reduction_targets(sf: StandardForm) -> list[ReductionTarget]:
-    """Classical descriptors implied by the code's (k0, k1) structure."""
+    """Classical descriptors implied by the code's (k0, k1) structure.
+
+    :func:`reduction_witnesses` lists a concrete code for each target, kind
+    for kind, with the same length and restriction.  Its dimension is the
+    target's, except for the additive kind with k1 > 0: a restricted column
+    that vanishes on the complement costs the subcode no dimension, so the
+    witness can be larger, which only strengthens the bound.
+    """
     n, k, k0, k1 = sf.n, sf.k, sf.k0, sf.k1
     targets = [
         ReductionTarget("mixed_additive", n - k0, 2 * k, restricted=k1),
@@ -750,12 +750,7 @@ def binary_s_code(code: AdditiveCode) -> BinarySCode | None:
     free_cols = [j for j in range(2 * n) if j not in pivot_rows]
     if len(free_cols) != n + k:
         raise InvariantError("pivot count disagrees with code rank")
-    rows = []
-    for w in code.complement_basis:
-        for bit, prow in pivot_rows.items():
-            if (w >> bit) & 1:
-                w ^= prow
-        rows.append(_gather(w, free_cols))
+    rows = [_gather(_reduce(w, pivot_rows), free_cols) for w in code.complement_basis]
     if gf2_rank(rows) != 2 * k:
         raise InvariantError("binary reduction rows are dependent")
     # the rows fill only the X half, where symplectic weight is Hamming weight
@@ -787,7 +782,7 @@ def random_self_orthogonal_code(
             for g in pool:
                 if rng.getrandbits(1):
                     v ^= g
-            if _reduce_by(v, basis):
+            if _reduce(v, basis):
                 gens.append(v)
                 break
         else:

@@ -239,6 +239,23 @@ def test_lp_critical_values():
     assert not lp_feasible(7, critical + F(1, 1000), 3).feasible
 
 
+def test_lp_below_two_to_minus_n_needs_no_simplex(monkeypatch):
+    """The normalization row alone excludes K < 2^-n: sum B_i = 2^n K - 1 < 0."""
+    from qbounds import simplex
+
+    def refuse(*args):
+        raise AssertionError("simplex ran for K < 2^-n")
+
+    monkeypatch.setattr(simplex, "solve_lp", refuse)
+    for n, K, d in [(1, F(1, 3), 1), (5, F(1, 33), 3), (24, F(1, 2**24 - 1) / 2, 2)]:
+        result = lp_feasible(n, K, d)
+        assert not result.feasible
+        assert result.certificate == (-1,) + (0,) * n
+        assert verify_lp_certificate(n, K, d, result.certificate)
+    with pytest.raises(AssertionError, match="simplex ran"):
+        lp_feasible(5, F(1, 32), 3)  # K = 2^-n is left to the simplex
+
+
 def test_lp_capacity_cap():
     with pytest.raises(CapacityError):
         lp_feasible(LP_SIZE_CAP + 1, 2, 3)

@@ -446,6 +446,19 @@ def test_curves_fig2_zero_matches_curve_e(capsys):
     assert data_e == data_f
 
 
+@pytest.mark.parametrize("classical", [False, True])
+def test_curve_e_is_fig2_at_zero_kappa1(capsys, tmp_path, monkeypatch, classical):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "classical.csv").write_text(CLASSICAL_CSV, encoding="utf-8")
+    extra = ["--classical-bound", "classical.csv"] if classical else []
+    points = lambda text: text[text.index("delta,rate\n"):].splitlines()[1:]
+    for samples in ("2", "17", "333"):
+        _, out_e, _ = run(capsys, "curves", "--id", "E", "--samples", samples, *extra)
+        _, out_f, _ = run(capsys, "curves", "--id", "fig2", "--kappa1", "0",
+                          "--samples", samples, *extra)
+        assert points(out_e) == points(out_f) and len(points(out_e)) >= 2
+
+
 def test_curves_classical_bound_plugin(capsys, tmp_path):
     table = tmp_path / "classical.csv"
     table.write_text("delta,rate\n0.0,1.0\n0.75,0.0\n", encoding="utf-8")
@@ -462,10 +475,12 @@ def test_curves_classical_bound_plugin(capsys, tmp_path):
     ("delta,rate\n0,-0.1\n0.5,-0.2\n", "line 2"),
     ("delta,rate\n0.0,1.0\n1.5,0.0\n", "line 3"),
     ("delta,rate\n0.0,1.0\n0.5,inf\n", "line 3"),
+    # an empty body stands for an empty path, which names no table either
+    pytest.param("", "cannot read classical bound CSV ''", id="empty-path"),
 ])
 def test_curves_classical_bound_errors(capsys, tmp_path, body, fragment):
-    table = tmp_path / "classical.csv"
-    if body is not None:
+    table = tmp_path / "classical.csv" if body != "" else ""
+    if body:
         table.write_text(body, encoding="utf-8")
     # B consumes no classical bound, but the table is read for every id
     for curve_id in ("E", "B"):

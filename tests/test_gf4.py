@@ -614,3 +614,56 @@ def test_reduction_layer_matches_symbol_list_oracle():
         bad += [(trial, key) for key in want if got[key] != want[key]]
     assert bad == []
     assert min(seen.values()) >= 50, seen
+
+
+def _reduction_layer_codes():
+    """The codes of the symbol-list oracle sweep above, drawn from the same seed."""
+    rng = random.Random(1997)
+    for trial in range(1300):
+        if trial < 1000:
+            n = rng.randint(1, 9) if trial % 3 == 0 else rng.randint(1, 10)
+            code = random_self_orthogonal_code(n, rng.randint(1, n), rng)
+            if trial % 3 == 0:
+                code = _with_fixed_qubit(code, rng.randint(1, 3))
+        else:
+            n = rng.randint(1, 8)
+            code = _random_code(n, rng.randint(0, 2 * n), rng)
+        yield code
+
+
+def test_standard_form_rows_are_a_reduced_echelon_basis():
+    """Keyed by pivot bit, sf.rows hold their own pivot bit, no other, and span C."""
+    for code in _reduction_layer_codes():
+        sf, n = code.form, code.n
+        pair = sf.permutation[: sf.k0]
+        line = sf.permutation[sf.k0 : sf.k0 + sf.k1]
+        # X then Z bit of each pair pivot; the high bit of each line pivot's symbol
+        keys = [*pair, *(n + c for c in pair)]
+        keys += [n + c if alpha & 2 else c for c, alpha in zip(line, sf.line_pivots)]
+        assert len(set(keys)) == len(keys) == len(sf.rows) == code.rank
+        for key, row in zip(keys, sf.rows):
+            assert [(row >> p) & 1 for p in keys] == [int(p == key) for p in keys]
+        assert AdditiveCode(n, sf.rows).echelon == code.echelon
+
+
+def test_reduction_witnesses_realize_their_targets():
+    """Each witness has its target's kind, length and restriction, and no smaller dimension.
+
+    The dimension is larger only for the additive reduction with k1 > 0, when a
+    restricted column vanishes on the complement: then the subcode loses fewer
+    than k1 dimensions, which only strengthens the bound it gives.
+    """
+    strict = 0
+    for code in _reduction_layer_codes():
+        if not code.is_self_orthogonal or code.rank == code.n:
+            continue
+        targets = reduction_targets(code.form)
+        witnesses = [w.target for w in reduction_witnesses(code)]
+        assert [t.kind for t in targets] == [w.kind for w in witnesses]
+        for t, w in zip(targets, witnesses):
+            assert (w.length, w.restricted) == (t.length, t.restricted)
+            assert w.dimension >= t.dimension
+            if w.dimension > t.dimension:
+                assert t.kind == "additive" and code.form.k1 > 0
+                strict += 1
+    assert strict > 0

@@ -109,19 +109,26 @@ def _rref(rows: Iterable[int], pivot_of: Callable[[int], int]) -> dict[int, int]
     A row's pivot is ``pivot_of(row)``, and every basis row is 0 at every
     other pivot.  The basis depends only on the span and the pivot rule,
     which stays the caller's choice: the highest-bit basis of
-    :func:`gf2_echelon` fixes the dual's generators, and the lowest-bit
+    :func:`gf2_echelon` is the canonical form of a span, and the lowest-bit
     pivots of :func:`binary_s_code` fix the columns it keeps.
     """
     basis: dict[int, int] = {}
     for row in rows:
-        row = _reduce(row, basis)
-        if row:
-            pivot = pivot_of(row)
-            for p, r in list(basis.items()):
-                if (r >> pivot) & 1:
-                    basis[p] = r ^ row
-            basis[pivot] = row
+        _insert(basis, row, pivot_of)
     return basis
+
+
+def _insert(basis: dict[int, int], row: int, pivot_of: Callable[[int], int]) -> bool:
+    """Add row to the reduced echelon ``basis``; False when it is already in the span."""
+    row = _reduce(row, basis)
+    if not row:
+        return False
+    pivot = pivot_of(row)
+    for p, r in list(basis.items()):
+        if (r >> pivot) & 1:
+            basis[p] = r ^ row
+    basis[pivot] = row
+    return True
 
 
 def _reduce(v: int, basis: dict[int, int]) -> int:
@@ -136,16 +143,6 @@ def gf2_echelon(rows: Iterable[int]) -> list[int]:
     """Reduced echelon basis (pivot = highest set bit), sorted by pivot."""
     basis = _rref(rows, _highest_bit)
     return [basis[p] for p in sorted(basis, reverse=True)]
-
-
-def _reduce_by(v: int, basis: dict[int, int]) -> int:
-    while v:
-        pivot = v.bit_length() - 1
-        row = basis.get(pivot)
-        if row is None:
-            return v
-        v ^= row
-    return v
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -208,10 +205,6 @@ class AdditiveCode:
         return len(self.generators)
 
     @cached_property
-    def echelon(self) -> tuple[int, ...]:
-        return tuple(gf2_echelon(self.generators))
-
-    @cached_property
     def is_self_orthogonal(self) -> bool:
         """Whether every pair of generators commutes (computed once per code)."""
         gens = self.generators
@@ -225,11 +218,6 @@ class AdditiveCode:
     def dual(self) -> AdditiveCode:
         """:func:`symplectic_dual` of the code (computed once per code)."""
         return symplectic_dual(self)
-
-    @cached_property
-    def complement_basis(self) -> tuple[int, ...]:
-        """:func:`_complement_basis` of the code (computed once per code)."""
-        return tuple(_complement_basis(self))
 
     @cached_property
     def form(self) -> StandardForm:
@@ -268,12 +256,10 @@ def parse_code(text: str) -> AdditiveCode:
                     f"line {lineno}: row has length {len(symbols)}, expected {n}"
                 )
             v = symbols_to_int(symbols, n)
-            residue = _reduce_by(v, basis)
-            if residue == 0:
+            if not _insert(basis, v, _highest_bit):
                 raise ParseError(
                     f"line {lineno}: row is linearly dependent on earlier rows"
                 )
-            basis[residue.bit_length() - 1] = residue
             rows.append(v)
     if n is None:
         raise ParseError("no generator rows found")
@@ -458,26 +444,6 @@ class StandardForm:
         return self.n - 2 * self.k0 - self.k1
 
 
-def _pop_line_pivot(rows: list[int], col: int, n: int) -> int | None:
-    """Remove the first row nonzero at col and add it to the others nonzero there.
-
-    The nonzero symbols at col must be equal (a single symbol line), so
-    every row left in ``rows`` is 0 at col.  None when the column is zero.
-    """
-    i = next((i for i, r in enumerate(rows) if symbol(r, col, n)), None)
-    if i is None:
-        return None
-    pivot = rows.pop(i)
-    alpha = symbol(pivot, col, n)
-    for j, r in enumerate(rows):
-        s = symbol(r, col, n)
-        if s:
-            if s != alpha:
-                raise InvariantError("line column carries two distinct symbols")
-            rows[j] = r ^ pivot
-    return pivot
-
-
 def standard_form(code: AdditiveCode) -> StandardForm:
     """Classify coordinates into pair pivots (k0), line pivots (k1), tail.
 
@@ -555,12 +521,14 @@ def standard_form(code: AdditiveCode) -> StandardForm:
 class ComplementaryCode:
     """Coset representatives generating dual(C) modulo C.
 
-    ``code`` lives in the original coordinates; its rows together with C
-    span dual(C).  ``punctured`` is the same set of rows in standard-form
-    coordinate order with the k0 pair-pivot columns (where all rows vanish)
-    removed: length n - k0, the first k1 coordinates restricted to at most
-    one nonzero symbol each.  Every nonzero word of the punctured span has
-    symplectic weight >= the quantum distance of C.
+    ``code`` lives in the original coordinates: the :func:`gf2_echelon`
+    basis of the words of dual(C) that are 0 at the standard form's pivot
+    bits, one per coset of C; with C they span dual(C).  ``punctured`` is
+    the same set of rows in standard-form coordinate order with the k0
+    pair-pivot columns (where all rows vanish) removed: length n - k0, the
+    first k1 coordinates restricted to at most one nonzero symbol each.
+    Every nonzero word of the punctured span has symplectic weight >= the
+    quantum distance of C.
     """
 
     code: AdditiveCode
@@ -569,18 +537,16 @@ class ComplementaryCode:
     k1: int
 
 
-def _complement_basis(code: AdditiveCode) -> list[int]:
-    """2k rows that extend C to dual(C), each reduced modulo C."""
-    basis = {row.bit_length() - 1: row for row in code.echelon}
-    extra: list[int] = []
-    for cand in code.dual.generators:
-        r = _reduce_by(cand, basis)
-        if r:
-            extra.append(r)
-            basis[r.bit_length() - 1] = r
-    if len(extra) != 2 * (code.n - code.rank):
+def _complement(code: AdditiveCode, basis: dict[int, int]) -> list[int]:
+    """:func:`gf2_echelon` of the dual's words that are 0 at the pivot bits of ``basis``.
+
+    ``basis`` is a reduced echelon basis of C, so :func:`_reduce` takes each
+    word of dual(C) to the one word of its coset that is 0 at those bits.
+    """
+    rows = gf2_echelon(_reduce(g, basis) for g in code.dual.generators)
+    if len(rows) != 2 * (code.n - code.rank):
         raise InvariantError("complement basis has wrong rank")
-    return extra
+    return rows
 
 
 def complementary_code(code: AdditiveCode) -> ComplementaryCode | None:
@@ -597,7 +563,7 @@ def complementary_code(code: AdditiveCode) -> ComplementaryCode | None:
     bits = [*cols[:k0], *(n + c for c in cols[:k0])]
     bits += [c + n * (alpha >> 1) for c, alpha in zip(cols[k0:], sf.line_pivots)]
     basis = dict(zip(bits, sf.rows))
-    reduced = [_reduce(v, basis) for v in code.complement_basis]
+    reduced = _complement(code, basis)
     if any((v >> p) & 1 for v in reduced for p in basis):
         raise InvariantError("complement row keeps a pivot bit of C")
     if gf2_rank(list(code.generators) + reduced) != n + k:
@@ -659,18 +625,21 @@ class ReductionWitness:
 
 
 def _restricted_free_subcode(comp: ComplementaryCode) -> AdditiveCode | None:
-    """Subcode of the punctured complement vanishing on the restricted columns."""
-    k1 = comp.k1
+    """Subcode of the punctured complement vanishing on the restricted columns.
+
+    It is the kernel on the restricted columns' bits: in the reduced echelon
+    basis pivoted at a row's lowest restricted bit, the rows that have none.
+    """
+    k1, m = comp.k1, comp.punctured.n
     if k1 == 0:
         return None
-    m = comp.punctured.n
-    rows = list(comp.punctured.generators)
-    for col in range(k1):
-        _pop_line_pivot(rows, col, m)
-    tail = [_restrict(r, range(k1, m), m) for r in rows]
-    if not tail:
-        return None
-    return AdditiveCode(m - k1, tuple(tail))
+    rows = comp.punctured.generators
+    if any(len({symbol(r, c, m) for r in rows} - {0}) > 1 for c in range(k1)):
+        raise InvariantError("restricted column carries two distinct symbols")
+    restricted = ((1 << k1) - 1) * ((1 << m) + 1)  # X and Z bits of columns 0 .. k1 - 1
+    basis = _rref(rows, lambda r: _lowest_bit(r & restricted or r))
+    tail = [_restrict(r, range(k1, m), m) for r in basis.values() if not r & restricted]
+    return AdditiveCode(m - k1, tuple(tail)) if tail else None
 
 
 def reduction_witnesses(code: AdditiveCode) -> list[ReductionWitness]:
@@ -678,41 +647,24 @@ def reduction_witnesses(code: AdditiveCode) -> list[ReductionWitness]:
     comp = complementary_code(code)
     if comp is None:
         return []
-    witnesses = [
-        ReductionWitness(
-            ReductionTarget(
-                "mixed_additive",
-                comp.punctured.n,
-                comp.punctured.rank,
-                restricted=comp.k1,
-            ),
-            min_nonzero_weight(comp.punctured),
-        )
-    ]
-    if comp.k1 == 0:
-        witnesses.append(
-            ReductionWitness(
-                ReductionTarget("additive", comp.punctured.n, comp.punctured.rank),
-                witnesses[0].distance,
-            )
-        )
-    elif comp.k1 < 2 * (code.n - code.rank):
+    punctured, k1 = comp.punctured, comp.k1
+    mixed = ReductionWitness(
+        ReductionTarget("mixed_additive", punctured.n, punctured.rank, restricted=k1),
+        min_nonzero_weight(punctured),
+    )
+    witnesses = [mixed]
+    if k1 == 0:
+        target = ReductionTarget("additive", punctured.n, punctured.rank)
+        witnesses.append(ReductionWitness(target, mixed.distance))
+    elif k1 < 2 * (code.n - code.rank):
+        # each restricted column costs at most one dimension: rank >= 2k - k1 > 0
         sub = _restricted_free_subcode(comp)
-        if sub is not None:
-            witnesses.append(
-                ReductionWitness(
-                    ReductionTarget("additive", sub.n, sub.rank),
-                    min_nonzero_weight(sub),
-                )
-            )
+        target = ReductionTarget("additive", sub.n, sub.rank)
+        witnesses.append(ReductionWitness(target, min_nonzero_weight(sub)))
     s_code = binary_s_code(code)
     assert s_code is not None
-    witnesses.append(
-        ReductionWitness(
-            ReductionTarget("binary", s_code.length, s_code.dimension),
-            s_code.distance,
-        )
-    )
+    target = ReductionTarget("binary", s_code.length, s_code.dimension)
+    witnesses.append(ReductionWitness(target, s_code.distance))
     return witnesses
 
 
@@ -725,10 +677,11 @@ def reduction_witnesses(code: AdditiveCode) -> list[ReductionWitness]:
 class BinarySCode:
     """Binary [n+k, 2k] code whose minimum distance dominates the quantum d.
 
-    Rows are ints over ``length`` bit columns: the complement of C in its
-    dual, reduced modulo the binary pivots of C and restricted to the
-    pivot-free columns.  Every nonzero word corresponds to an element of
-    dual(C) \\ C whose binary weight is at least its symplectic weight.
+    Rows are ints over ``length`` bit columns: the words of dual(C) that
+    are 0 at the lowest-bit pivots of C, one per coset of C, restricted to
+    the pivot-free columns.  They are the :func:`gf2_echelon` basis of
+    their span.  Every nonzero word corresponds to an element of dual(C) \\ C
+    whose binary weight is at least its symplectic weight.
     """
 
     length: int
@@ -750,7 +703,7 @@ def binary_s_code(code: AdditiveCode) -> BinarySCode | None:
     free_cols = [j for j in range(2 * n) if j not in pivot_rows]
     if len(free_cols) != n + k:
         raise InvariantError("pivot count disagrees with code rank")
-    rows = [_gather(_reduce(w, pivot_rows), free_cols) for w in code.complement_basis]
+    rows = [_gather(w, free_cols) for w in _complement(code, pivot_rows)]
     if gf2_rank(rows) != 2 * k:
         raise InvariantError("binary reduction rows are dependent")
     # the rows fill only the X half, where symplectic weight is Hamming weight
@@ -770,19 +723,19 @@ def random_self_orthogonal_code(
     if not 0 < rank <= n:
         raise ParameterError(f"rank must be in [1, n], got {rank}")
     gens: list[int] = []
+    basis: dict[int, int] = {}
     while len(gens) < rank:
         if gens:
             dual = symplectic_dual(AdditiveCode(n, tuple(gens)))
             pool = dual.generators
         else:
             pool = tuple(1 << j for j in range(2 * n))
-        basis = _rref(gens, _highest_bit)
         for _ in range(64):
             v = 0
             for g in pool:
                 if rng.getrandbits(1):
                     v ^= g
-            if _reduce(v, basis):
+            if _insert(basis, v, _highest_bit):
                 gens.append(v)
                 break
         else:

@@ -6,14 +6,23 @@ per-word loop of ``weight_distribution`` over ``words`` (a Gray-code walk
 behind the enumeration cap), the nested coset loop of ``quantum_distance``
 (every complement word plus every code word, 2^(n+k) words) and the
 per-word minimum loop of ``min_nonzero_weight``, all unchanged apart from
-imports and ``words`` turning from a method into a function, and the
-minimum loop of ``binary_s_code`` as a function of its rows.
+imports, ``words`` turning from a method into a function and
+``gf2_echelon(code.generators)`` standing for the removed
+``AdditiveCode.echelon``, and the minimum loop of ``binary_s_code`` as a
+function of its rows.
 
 Below them is the reduction layer the library replaced with eliminations
 on int words: the standard form, the complementary code and the
 restricted-free subcode computed on lists of GF(4) symbols in permuted
 coordinates, unchanged apart from imports, and the inline row reduction
 of ``binary_s_code`` as a function of the code that returns its rows.
+Both reductions start from ``_complement_basis``: the dual's generators
+that extend C, each reduced by the leading bits of C's echelon basis and
+of the rows taken before it.  The library no longer has it or its
+``_reduce_by``; both are kept here, so the oracle's complement does not
+come from the code it checks.  The library takes the complement from a
+reduced echelon basis of C instead, so its rows span what these rows
+span but are not the same rows.
 """
 
 from __future__ import annotations
@@ -27,8 +36,6 @@ from qbounds.gf4 import (
     AdditiveCode,
     ComplementaryCode,
     QuantumParams,
-    _complement_basis,
-    _reduce_by,
     _require_self_orthogonal,
     gf2_echelon,
     gf2_rank,
@@ -54,6 +61,16 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
     for w in words(code):
         counts[symplectic_weight(w, code.n)] += 1
     return tuple(counts)
+
+
+def _reduce_by(v: int, basis: dict[int, int]) -> int:
+    while v:
+        pivot = v.bit_length() - 1
+        row = basis.get(pivot)
+        if row is None:
+            return v
+        v ^= row
+    return v
 
 
 def _extend_basis(base: Sequence[int], candidates: Iterable[int]) -> list[int]:
@@ -94,7 +111,7 @@ def quantum_distance(code: AdditiveCode) -> QuantumParams:
         if min_c is None:
             raise StructureError("trivial code of length 0 has no distance")
         return QuantumParams(n, 0, 1, min_c, False)
-    complement = _extend_basis(code.echelon, dual.generators)
+    complement = _extend_basis(gf2_echelon(code.generators), dual.generators)
     if len(complement) != 2 * k:
         raise InvariantError("complement basis has wrong rank")
     cwords = list(words(code))
@@ -109,6 +126,14 @@ def quantum_distance(code: AdditiveCode) -> QuantumParams:
     assert d is not None
     degenerate = min_c is not None and min_c < d
     return QuantumParams(n, k, 1 << k, d, degenerate)
+
+
+def _complement_basis(code: AdditiveCode) -> list[int]:
+    """2k rows that extend C to dual(C), each reduced modulo C."""
+    extra = _extend_basis(gf2_echelon(code.generators), symplectic_dual(code).generators)
+    if len(extra) != 2 * (code.n - code.rank):
+        raise InvariantError("complement basis has wrong rank")
+    return extra
 
 
 def min_nonzero_weight(code: AdditiveCode) -> int:

@@ -376,7 +376,7 @@ def test_analyze_checks_self_orthogonality_once(capsys, tmp_path, monkeypatch):
 
 
 def test_analyze_builds_dual_and_complement_once(capsys, tmp_path, monkeypatch):
-    calls = {"symplectic_dual": 0, "_complement_basis": 0, "standard_form": 0}
+    calls = {"symplectic_dual": 0, "standard_form": 0}
     for name in calls:
         original = getattr(gf4, name)
 
@@ -388,7 +388,7 @@ def test_analyze_builds_dual_and_complement_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "steane.code"
     path.write_text(fixture_text("steane.code"), encoding="utf-8")
     assert run(capsys, "analyze", str(path))[0] == 0
-    assert calls == {"symplectic_dual": 1, "_complement_basis": 1, "standard_form": 1}
+    assert calls == {"symplectic_dual": 1, "standard_form": 1}
 
 def test_analyze_errors(capsys, tmp_path):
     bad = tmp_path / "bad.code"

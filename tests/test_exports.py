@@ -1,5 +1,7 @@
 """The package's public names change only on purpose."""
 
+from dataclasses import fields
+
 import qbounds
 
 EXPORTS = [
@@ -22,3 +24,10 @@ EXPORTS = [
 def test_public_exports_are_pinned():
     # a change here is an API change: say so in the README and CHANGES.md
     assert sorted(qbounds.__all__) == EXPORTS
+
+
+def test_additive_code_attributes_are_pinned():
+    code = qbounds.AdditiveCode
+    public = {f.name for f in fields(code)}
+    public |= {name for name in vars(code) if not name.startswith("_")}
+    assert sorted(public) == ["dual", "form", "generators", "is_self_orthogonal", "n", "rank"]

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import gf4_oracle
-from qbounds import gf4
+from qbounds import cli, gf4
 from qbounds.errors import CapacityError, ParameterError, ParseError, StructureError
 from qbounds.gf4 import (
     ENUMERATION_CAP,
@@ -21,6 +21,7 @@ from qbounds.gf4 import (
     complementary_code,
     enumerators,
     format_code,
+    gf2_echelon,
     gf2_rank,
     min_nonzero_weight,
     parse_code,
@@ -114,7 +115,7 @@ def test_parse_five_qubit():
 
 def test_parse_slash_separated():
     code = parse_code("XZZXI / IXZZX / XIXZZ / ZXIXZ")
-    assert code.echelon == parse_code(FIVE_QUBIT).echelon
+    assert gf2_echelon(code.generators) == gf2_echelon(parse_code(FIVE_QUBIT).generators)
 
 
 def test_parse_gf4_rows_and_comments():
@@ -137,6 +138,13 @@ def test_parse_dependent_rows_named():
         parse_code("XZ\nZX\nYY")
 
 
+@pytest.mark.parametrize("text", ["XZ\nXZ\nXQ", "XZ\nXZ\nXZZ"])
+def test_parse_reports_a_dependent_row_before_later_errors(text):
+    # rows are read in order, so a malformed or ragged row after it goes unread
+    with pytest.raises(ParseError, match="^line 2: row is linearly dependent on earlier rows$"):
+        parse_code(text)
+
+
 def test_parse_empty():
     with pytest.raises(ParseError):
         parse_code("# nothing here\n")
@@ -146,7 +154,7 @@ def test_format_round_trip():
     for text in (FIVE_QUBIT, C422, "w w\n"):
         code = parse_code(text)
         back = parse_code(format_code(code))
-        assert (back.n, back.echelon) == (code.n, code.echelon)
+        assert (back.n, gf2_echelon(back.generators)) == (code.n, gf2_echelon(code.generators))
 
 
 def test_dependent_generators_rejected_at_construction():
@@ -177,7 +185,8 @@ def test_bidual_identity():
     for _ in range(20):
         n = rng.randint(1, 6)
         code = random_self_orthogonal_code(n, rng.randint(1, n), rng)
-        assert symplectic_dual(symplectic_dual(code)).echelon == code.echelon
+        bidual = symplectic_dual(symplectic_dual(code))
+        assert gf2_echelon(bidual.generators) == gf2_echelon(code.generators)
 
 
 def test_dual_is_symplectically_orthogonal():
@@ -361,7 +370,7 @@ def test_standard_form_round_trip_random():
         code = AdditiveCode(n, tuple(gens))
         sf = standard_form(code)
         assert 2 * sf.k0 + sf.k1 == code.rank == len(sf.rows)
-        assert AdditiveCode(n, sf.rows).echelon == code.echelon
+        assert gf2_echelon(sf.rows) == gf2_echelon(code.generators)
         assert sorted(sf.permutation) == list(range(n))
         # pivot structure: identity-like blocks at the pivot columns
         pair_cols = sf.permutation[: sf.k0]
@@ -568,19 +577,28 @@ def test_distances_match_word_scans():
     assert min(seen.values()) >= 20, seen
 
 
+def _span(code):
+    """A code's length and the canonical basis of its span; None for no code."""
+    return code and (code.n, gf2_echelon(code.generators))
+
+
 def _reduction_rows(sf, sf_rows, comp, sub, binary_rows):
-    """Every row the reduction layer builds from one code, in order, by name."""
+    """The standard form's rows, in order, and the span of every reduction code, by name."""
     return {
         "standard_form": (sf.k0, sf.k1, sf.permutation, sf.line_pivots, sf_rows),
-        "complement": comp and comp.code.generators,
-        "punctured": comp and (comp.punctured.n, comp.punctured.generators),
-        "subcode": sub and (sub.n, sub.generators),
-        "binary_s_code": binary_rows,
+        "complement": _span(comp and comp.code),
+        "punctured": _span(comp and comp.punctured),
+        "subcode": _span(sub),
+        "binary_s_code": binary_rows and gf2_echelon(binary_rows),
     }
 
 
 def test_reduction_layer_matches_symbol_list_oracle():
-    """Eliminations on int words build the rows the symbol-list layer built."""
+    """Eliminations on int words build the symbol-list layer's standard form and spans.
+
+    The library's complement and binary rows are the canonical basis of their span,
+    so they are pinned as well.
+    """
     rng = random.Random(1997)
     bad = []
     seen = {"k1 >= 1": 0, "k1 >= 2k": 0, "k = 0": 0, "not self-orthogonal": 0}
@@ -602,6 +620,9 @@ def test_reduction_layer_matches_symbol_list_oracle():
             oracle_sub = oracle_comp and gf4_oracle._restricted_free_subcode(oracle_comp)
             s_code = binary_s_code(code)
             rows, oracle_rows = s_code and s_code.rows, gf4_oracle.binary_s_rows(code)
+            for canonical in (comp and comp.code.generators, rows):
+                if canonical and list(canonical) != gf2_echelon(canonical):
+                    bad.append((trial, "not canonical", canonical))
             seen["k = 0"] += sf.k == 0
             seen["k1 >= 1"] += sf.k > 0 and sf.k1 >= 1
             seen["k1 >= 2k"] += sf.k > 0 and sf.k1 >= 2 * sf.k
@@ -643,7 +664,7 @@ def test_standard_form_rows_are_a_reduced_echelon_basis():
         assert len(set(keys)) == len(keys) == len(sf.rows) == code.rank
         for key, row in zip(keys, sf.rows):
             assert [(row >> p) & 1 for p in keys] == [int(p == key) for p in keys]
-        assert AdditiveCode(n, sf.rows).echelon == code.echelon
+        assert gf2_echelon(sf.rows) == gf2_echelon(code.generators)
 
 
 def test_reduction_witnesses_realize_their_targets():
@@ -667,3 +688,53 @@ def test_reduction_witnesses_realize_their_targets():
                 assert t.kind == "additive" and code.form.k1 > 0
                 strict += 1
     assert strict > 0
+
+
+def _recombined(code, rng):
+    """Other generators of the same span: shuffled, then each plus a random subset of the rest."""
+    gens = list(code.generators)
+    rng.shuffle(gens)
+    for i in range(len(gens)):
+        for j in range(len(gens)):
+            if i != j and rng.getrandbits(1):
+                gens[i] ^= gens[j]
+    return AdditiveCode(code.n, tuple(gens))
+
+
+def test_reduction_layer_depends_only_on_the_span(tmp_path, capsys):
+    """Generators of the same span give the same reduction rows, witnesses and report."""
+    rng = random.Random(1998)
+    path = tmp_path / "code.code"
+
+    def built(code):
+        comp = complementary_code(code)
+        path.write_text(format_code(code), encoding="utf-8")
+        assert cli.main(["analyze", str(path)]) == 0
+        return (
+            comp.code.generators,
+            comp.punctured.generators,
+            _restricted_free_subcode(comp),
+            binary_s_code(code).rows,
+            reduction_witnesses(code),
+            capsys.readouterr().out,
+        )
+
+    seen = {"k1 = 0": 0, "0 < k1 < 2k": 0, "degenerate": 0}
+    for trial in range(90):
+        n = rng.randint(3, 8)
+        if trial % 3:
+            code = random_self_orthogonal_code(n, rng.randint(2, n - 1), rng)
+        else:
+            # k = 1 plus a qubit fixed by a weight-1 stabilizer: degenerate once d >= 2
+            code = random_self_orthogonal_code(n, n - 1, rng)
+            code = _with_fixed_qubit(code, rng.randint(1, 3))
+        other = _recombined(code, rng)
+        while other.generators == code.generators:
+            other = _recombined(code, rng)
+        assert gf2_echelon(other.generators) == gf2_echelon(code.generators)
+        assert built(other) == built(code), trial
+        sf = code.form
+        seen["k1 = 0"] += sf.k1 == 0
+        seen["0 < k1 < 2k"] += 0 < sf.k1 < 2 * sf.k
+        seen["degenerate"] += quantum_distance(code).degenerate
+    assert min(seen.values()) >= 10, seen

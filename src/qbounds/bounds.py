@@ -43,17 +43,10 @@ def floor_log2(x: Fraction) -> int:
     if x <= 0:
         raise ParameterError(f"floor_log2 needs a positive value, got {x}")
     p, q = x.numerator, x.denominator
+    # 2^(m-1) < p/q < 2^(m+1), so the floor is m or m - 1
     m = p.bit_length() - q.bit_length()
-    while not _le_pow2(m, p, q):
-        m -= 1
-    while _le_pow2(m + 1, p, q):
-        m += 1
-    return m
-
-
-def _le_pow2(m: int, p: int, q: int) -> bool:
-    # 2^m <= p/q
-    return (q << m) <= p if m >= 0 else q <= (p << -m)
+    at_least = (q << m) <= p if m >= 0 else q <= (p << -m)
+    return m if at_least else m - 1
 
 
 def ceil_log2(x: Fraction) -> int:

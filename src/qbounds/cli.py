@@ -7,10 +7,12 @@ matrix over a parameter grid), ``analyze`` (full report for a code file),
 
 Exit codes: 0 success (verdicts live in the payload), 1 selftest failure,
 2 usage/parse/structure error, 3 capacity exceeded, 4 internal error (a
-failed exact identity or solve, which is a bug: one ``internal:`` line on
-stderr).  A reader that closes stdout early (``| head``) ends the command
-quietly with exit 0.  Output is deterministic: no timestamps; ``--meta``
-adds fixed provenance headers.  Rationals render as 'p/q'.
+failed exact identity or solve: a bug).  ``main`` alone reports a failure,
+a parser error included: stdout stays empty and stderr gets one line
+prefixed ``error:``, ``capacity:`` or ``internal:``.  A reader that closes
+stdout early (``| head``) ends the command quietly with exit 0.  Output is
+deterministic: no timestamps; ``--meta`` adds fixed provenance headers.
+Rationals render as 'p/q'.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _fmt(value) -> object:
 
 
 def _query_K(n: int, k: int | None, text: str | None) -> Fraction:
-    """K = 2^k, or the rational ``text``; refused past the size cap before it is formed."""
+    """K = 2^k or the positive rational ``text``; refused past the size cap before it is formed."""
     if k is not None:
         bits = abs(k) + 1
     else:
@@ -90,19 +92,19 @@ def _query_K(n: int, k: int | None, text: str | None) -> Fraction:
     cap = max(n, 0) + K_BITS_OVER_N
     if bits > cap:
         raise CapacityError(f"K has a {bits}-bit numerator or denominator, over the {cap}-bit cap")
+    if k is None and K <= 0:
+        raise ParameterError(f"K must be positive, got {K}")
     return K if k is None else Fraction(2) ** k
 
 
-def _bound_names(command: str, text: str, allowed: Sequence[str]) -> list[str] | None:
-    """The names of a --bounds list, or None after one usage line on stderr."""
+def _bound_names(command: str, text: str, allowed: Sequence[str]) -> list[str]:
+    """The names of a --bounds list, each one of ``allowed``."""
     names = [b.strip() for b in text.split(",") if b.strip()]
     if not names:
-        print(f"{command}: empty bound list", file=sys.stderr)
-        return None
+        raise ParameterError(f"{command}: empty bound list")
     for name in names:
         if name not in allowed:
-            print(f"{command}: unknown bound {name!r}", file=sys.stderr)
-            return None
+            raise ParameterError(f"{command}: unknown bound {name!r}")
     return names
 
 
@@ -162,19 +164,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
     if n > CHECK_SIZE_CAP:
         raise CapacityError(f"n={n} exceeds the check cap {CHECK_SIZE_CAP}")
-    if (args.k is None) == (args.K is None):
-        print("check: provide exactly one of --k or --K", file=sys.stderr)
-        return EXIT_USAGE
     K = _query_K(n, args.k, args.K)
-    if K <= 0:
-        print(f"check: K must be positive, got {K}", file=sys.stderr)
-        return EXIT_USAGE
     names = _bound_names("check", args.bounds, CHECK_BOUNDS)
-    if names is None:
-        return EXIT_USAGE
     if "lp" in names and n > bounds.LP_SIZE_CAP:
-        print(f"check: lp bound capped at n <= {bounds.LP_SIZE_CAP}", file=sys.stderr)
-        return EXIT_CAPACITY
+        raise CapacityError(f"check: lp bound capped at n <= {bounds.LP_SIZE_CAP}")
+    if "degenerate_hamming" in names and None in (args.k, args.k0, args.k1):
+        raise ParameterError("check: degenerate_hamming needs --k, --k0 and --k1")
     verdicts: list[bounds.BoundVerdict] = []
     for name in names:
         if name in CLOSED_FORM_BOUNDS:
@@ -191,14 +186,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
             verdicts.append(verdict)
         elif name == "degenerate_hamming":
-            if args.k0 is None or args.k1 is None:
-                print(
-                    "check: degenerate_hamming needs --k0 and --k1", file=sys.stderr
-                )
-                return EXIT_USAGE
-            if args.k is None:
-                print("check: degenerate_hamming needs --k", file=sys.stderr)
-                return EXIT_USAGE
             verdicts.append(
                 bounds.degenerate_hamming_check(n, args.k, args.k0, args.k1, d)
             )
@@ -214,18 +201,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     names = _bound_names("table", args.bounds, TABLE_BOUNDS)
-    if names is None:
-        return EXIT_USAGE
     for flag, value in (("n-max", args.n_max), ("d-max", args.d_max)):
         if value <= 0:
-            print(f"table: {flag} must be positive, got {value}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ParameterError(f"table: {flag} must be positive, got {value}")
     if args.n_max > TABLE_SIZE_CAP:
-        print(f"table: n-max capped at {TABLE_SIZE_CAP}", file=sys.stderr)
-        return EXIT_CAPACITY
+        raise CapacityError(f"table: n-max capped at {TABLE_SIZE_CAP}")
     if "lp" in names and args.n_max > bounds.LP_SIZE_CAP:
-        print(f"table: lp bound capped at n <= {bounds.LP_SIZE_CAP}", file=sys.stderr)
-        return EXIT_CAPACITY
+        raise CapacityError(f"table: lp bound capped at n <= {bounds.LP_SIZE_CAP}")
     if args.meta:
         print(f"# qbounds {__version__} table n<={args.n_max} d<={args.d_max}")
     print("n,d," + ",".join(f"{name}_kmax" for name in names))
@@ -249,12 +231,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(args.code_file, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(f"analyze: {exc}") from exc
     except UnicodeDecodeError as exc:
-        print(f"analyze: {args.code_file}: not UTF-8 ({exc.reason} at byte {exc.start})",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterError(
+            f"analyze: {args.code_file}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
     code = gf4.parse_code(text)
     pair = gf4.enumerators(code)
     params = pair.params
@@ -335,8 +316,15 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its usage errors for ``main`` to report."""
+
+    def error(self, message: str):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbounds",
         description="Exact upper bounds for quantum error-correcting code parameters.",
     )
@@ -345,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate bounds at one (n, K, d) point")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, help="log2 of the code-space dimension")
-    p.add_argument("--K", type=str, help="code-space dimension, rational 'p/q'")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--k", type=int, help="log2 of the code-space dimension")
+    size.add_argument("--K", type=str, help="code-space dimension, rational 'p/q'")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k0", type=int, help="pair-pivot count for degenerate_hamming")
     p.add_argument("--k1", type=int, help="line-pivot count for degenerate_hamming")
@@ -390,25 +379,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()
         return status
     except (ParseError, StructureError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        status, message = EXIT_USAGE, f"error: {exc}"
     except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        status, message = EXIT_CAPACITY, f"capacity: {exc}"
     except (InvariantError, SolverError) as exc:
-        print(f"internal: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        status, message = EXIT_INTERNAL, f"internal: {exc}"
     except BrokenPipeError:
         # the reader has gone; the interpreter's last flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    # a message may quote an argument that holds a line break
+    print(" ".join(message.splitlines()), file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -45,6 +45,13 @@ def test_floor_ceil_log2():
     assert ceil_log2(F(64)) == 6
     assert ceil_log2(F(65)) == 7
     assert ceil_log2(F(1)) == 0
+    big = [F(2**300), F(2**300 - 1), F(2**300 + 1), F(1, 2**301), F(1, 2**301 - 1),
+           F(3**200, 5**130), F(5**130, 3**200), F(2**400 + 1, 2**100 - 1)]
+    small = [F(p, q) for p in range(1, 201) for q in range(1, 201)]
+    for x in small + big:
+        m, c = floor_log2(x), ceil_log2(x)
+        assert F(2) ** m <= x < F(2) ** (m + 1)
+        assert F(2) ** (c - 1) < x <= F(2) ** c
 
 
 # ---------------------------------------------------------------------------

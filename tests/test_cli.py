@@ -1,5 +1,6 @@
 """Command-line surface: payloads, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import qbounds
 from qbounds import bounds, gf4
 from qbounds.bounds import LP_SIZE_CAP
 from qbounds.cli import (
@@ -143,13 +145,105 @@ def test_check_rational_K_and_degenerate_hamming(capsys):
     assert payload["verdicts"][0]["passed"] is True
 
 
-def test_check_flag_validation(capsys):
-    assert run(capsys, "check", "--n", "5", "--d", "3")[0] == 2
-    assert run(capsys, "check", "--n", "5", "--k", "1", "--K", "2", "--d", "3")[0] == 2
-    assert run(capsys, "check", "--n", "5", "--k", "1", "--d", "3",
-               "--bounds", "")[0] == 2
-    assert run(capsys, "check", "--n", "5", "--k", "1", "--d", "3",
-               "--bounds", "nope")[0] == 2
+# code files the failure rows below name, written to the working directory;
+# one row of length n has a dual of rank 2n - 1, just over the enumeration cap
+FAILURE_FILES = {
+    "bad.code": "XZQ\n".encode("utf-8"),
+    "nso.code": "XX\nZX\n".encode("utf-8"),
+    "latin1.code": "XZZXI # Ä\n".encode("latin-1"),
+    "wide.code": ("X" * (gf4.ENUMERATION_CAP // 2 + 1) + "\n").encode("utf-8"),
+}
+CHECK_5 = ("check", "--n", "5", "--d", "3")
+TABLE_4 = ("table", "--n-max", "4", "--d-max", "4")
+FAILURES = [
+    # the argument parser
+    (("check", "--n", "x", "--k", "1", "--d", "3"), 2,
+     "error: qbounds check: argument --n: invalid int value: 'x'"),
+    (("lp", "--n", "5", "--d", "3"), 2,
+     "error: qbounds lp: the following arguments are required: --K"),
+    ((), 2, "error: qbounds: the following arguments are required: command"),
+    (CHECK_5 + ("--k", "1", "extra\nline"), 2, "error: qbounds: unrecognized arguments"),
+    (CHECK_5 + ("--k", "1", "--K", "2"), 2,
+     "error: qbounds check: argument --K: not allowed with argument --k"),
+    (CHECK_5, 2, "error: qbounds check: one of the arguments --k --K is required"),
+    (("curves", "--id", "Z"), 2, "error: qbounds curves: argument --id: invalid choice"),
+    # bound lists and grid limits
+    (CHECK_5 + ("--k", "1", "--bounds", ""), 2, "error: check: empty bound list"),
+    (CHECK_5 + ("--k", "1", "--bounds", "nope"), 2, "error: check: unknown bound 'nope'"),
+    (TABLE_4 + ("--bounds", " "), 2, "error: table: empty bound list"),
+    (TABLE_4 + ("--bounds", "degenerate_hamming"), 2, "error: table: unknown bound"),
+    (("table", "--n-max", "0", "--d-max", "3", "--bounds", "singleton"), 2,
+     "error: table: n-max must be positive, got 0"),
+    (("table", "--n-max", "4", "--d-max", "-2", "--bounds", "singleton"), 2,
+     "error: table: d-max must be positive, got -2"),
+    # K and the degenerate Hamming counts
+    (("check", "--n", "5", "--K", "-1", "--d", "3"), 2, "error: K must be positive, got -1"),
+    (("lp", "--n", "5", "--K", "0", "--d", "3"), 2, "error: K must be positive, got 0"),
+    (CHECK_5 + ("--k", "1", "--bounds", "degenerate_hamming"), 2,
+     "error: check: degenerate_hamming needs --k, --k0 and --k1"),
+    (CHECK_5 + ("--K", "2", "--k0", "2", "--k1", "0", "--bounds", "degenerate_hamming"), 2,
+     "error: check: degenerate_hamming needs --k, --k0 and --k1"),
+    # code files
+    (("analyze", "missing.code"), 2, "error: analyze: [Errno 2] No such file or directory"),
+    (("analyze", "latin1.code"), 2, "error: analyze: latin1.code: not UTF-8"),
+    (("analyze", "bad.code"), 2, "error: line 1: "),
+    (("analyze", "nso.code"), 2, "error: code is not self-orthogonal"),
+    # every cap
+    (("check", "--n", str(CHECK_SIZE_CAP + 1), "--k", "1", "--d", "3"), 3,
+     f"capacity: n={CHECK_SIZE_CAP + 1} exceeds the check cap"),
+    (("check", "--n", str(LP_SIZE_CAP + 1), "--k", "1", "--d", "3", "--bounds", "lp"), 3,
+     f"capacity: check: lp bound capped at n <= {LP_SIZE_CAP}"),
+    (CHECK_5 + ("--k", "20000"), 3, "capacity: K has a 20001-bit numerator"),
+    (("lp", "--n", str(LP_SIZE_CAP + 1), "--K", "1", "--d", "3"), 3,
+     f"capacity: n={LP_SIZE_CAP + 1} exceeds the exact-LP cap"),
+    (("table", "--n-max", str(TABLE_SIZE_CAP + 1), "--d-max", "3", "--bounds", "singleton"), 3,
+     f"capacity: table: n-max capped at {TABLE_SIZE_CAP}"),
+    (("table", "--n-max", str(LP_SIZE_CAP + 1), "--d-max", "3", "--bounds", "lp"), 3,
+     f"capacity: table: lp bound capped at n <= {LP_SIZE_CAP}"),
+    (("curves", "--id", "E", "--samples", str(CURVE_SAMPLES_CAP + 1)), 3,
+     f"capacity: samples={CURVE_SAMPLES_CAP + 1} exceeds the curves cap"),
+    (("analyze", "wide.code"), 3, f"capacity: rank {gf4.ENUMERATION_CAP + 1} exceeds"),
+]
+
+
+@pytest.mark.parametrize("argv, status, prefix", FAILURES,
+                         ids=[" ".join(argv)[:40] or "no command" for argv, _, _ in FAILURES])
+def test_every_failure_is_one_stderr_line(capsys, tmp_path, monkeypatch, argv, status, prefix):
+    monkeypatch.chdir(tmp_path)
+    for name, body in FAILURE_FILES.items():
+        (tmp_path / name).write_bytes(body)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (status, "")
+    assert err.startswith(prefix) and len(err.splitlines()) == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as stop:
+        main([flag])
+    captured = capsys.readouterr()
+    assert stop.value.code == 0 and captured.out and captured.err == ""
+
+
+def _stderr_uses(tree):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == "stderr" and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"]
+
+
+def test_main_alone_writes_stderr():
+    # every failure reaches the user through the one report in cli.main
+    outside = []
+    for path in sorted(Path(qbounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        uses = _stderr_uses(tree)
+        if path.name == "cli.py":
+            reporter = next(node for node in tree.body
+                            if isinstance(node, ast.FunctionDef) and node.name == "main")
+            assert len(_stderr_uses(reporter)) == 1
+            uses = [line for line in uses if line not in _stderr_uses(reporter)]
+        outside += [f"{path.name}:{line}" for line in uses]
+    assert outside == []
 
 
 def stdout_digest(capsys, *argv):
@@ -267,12 +361,6 @@ def test_check_size_cap_exit(capsys):
     assert err.startswith("capacity:") and len(err.strip().splitlines()) == 1
 
 
-def test_check_lp_capacity_exit(capsys):
-    code, _, err = run(capsys, "check", "--n", str(LP_SIZE_CAP + 1), "--k", "1",
-                       "--d", "3", "--bounds", "lp")
-    assert code == 3 and "cap" in err
-
-
 def test_table_matrix(capsys):
     code, out, _ = run(capsys, "table", "--n-max", "8", "--d-max", "8",
                        "--bounds", "singleton,hamming")
@@ -286,23 +374,12 @@ def test_table_matrix(capsys):
         assert int(values[0]) == max(n - 2 * d + 2, 0)
 
 
-def test_table_empty_bounds_usage_error(capsys):
-    assert run(capsys, "table", "--n-max", "4", "--d-max", "4", "--bounds", " ")[0] == 2
-
-
 @pytest.mark.parametrize("n_max, d_max", [("-1", "3"), ("0", "3"), ("4", "0"), ("4", "-2")])
 def test_table_rejects_nonpositive_limits(capsys, n_max, d_max):
     code, out, err = run(capsys, "table", "--n-max", n_max, "--d-max", d_max,
                          "--bounds", "singleton")
     assert code == 2 and out == ""
-    assert err.startswith("table:") and len(err.strip().splitlines()) == 1
-
-
-def test_table_capacity_exits(capsys):
-    assert run(capsys, "table", "--n-max", str(TABLE_SIZE_CAP + 1), "--d-max", "3",
-               "--bounds", "singleton")[0] == 3
-    assert run(capsys, "table", "--n-max", str(LP_SIZE_CAP + 1), "--d-max", "3",
-               "--bounds", "lp")[0] == 3
+    assert err.startswith("error: table:") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("error", [InvariantError, SolverError])
@@ -389,26 +466,6 @@ def test_analyze_builds_dual_and_complement_once(capsys, tmp_path, monkeypatch):
     path.write_text(fixture_text("steane.code"), encoding="utf-8")
     assert run(capsys, "analyze", str(path))[0] == 0
     assert calls == {"symplectic_dual": 1, "standard_form": 1}
-
-def test_analyze_errors(capsys, tmp_path):
-    bad = tmp_path / "bad.code"
-    bad.write_text("XZQ\n", encoding="utf-8")
-    code, _, err = run(capsys, "analyze", str(bad))
-    assert code == 2 and "line 1" in err
-
-    nso = tmp_path / "nso.code"
-    nso.write_text("XX\nZX\n", encoding="utf-8")
-    code, _, err = run(capsys, "analyze", str(nso))
-    assert code == 2 and "self-orthogonal" in err
-
-    assert run(capsys, "analyze", str(tmp_path / "missing.code"))[0] == 2
-
-    latin1 = tmp_path / "latin1.code"
-    latin1.write_bytes("XZZXI # Ä\n".encode("latin-1"))
-    code, out, err = run(capsys, "analyze", str(latin1))
-    assert code == 2 and out == ""
-    assert err.startswith("analyze:") and len(err.strip().splitlines()) == 1
-
 
 def test_lp_subcommand(capsys):
     code, out, _ = run(capsys, "lp", "--n", "5", "--K", "2", "--d", "3")

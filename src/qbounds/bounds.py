@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError
@@ -33,6 +34,8 @@ from .exact import (
 )
 
 LP_SIZE_CAP = 24  # worst-d `lp` command about 0.3 s on a 2-vCPU host
+# lp_critical_K answers kept: one for every (n, d) the cap admits
+CRITICAL_K_CACHE = LP_SIZE_CAP * (LP_SIZE_CAP + 1) // 2
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -357,22 +360,26 @@ def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
     return rows, rhs, nb
 
 
-def verify_lp_witness(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> bool:
-    """Exact check that B is a valid nondegenerate distribution at (n, K, d)."""
+def _witness_A(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> list[Fraction] | None:
+    """A = T(B) when B is a valid nondegenerate distribution at (n, K, d), else None."""
     K = Fraction(K)
     if len(B) != n + 1 or B[0] != 1:
-        return False
+        return None
     if any(Fraction(v) < 0 for v in B):
-        return False
+        return None
     if any(Fraction(B[i]) != 0 for i in range(1, d)):
-        return False
-    scale = (Fraction(2) ** n) * K
-    A = macwilliams_transform(B, n, 4, scale)
+        return None
+    A = macwilliams_transform(B, n, 4, (Fraction(2) ** n) * K)
     if A[0] != 1:
-        return False
+        return None
     if any(A[t] != 0 for t in range(1, d)):
-        return False
-    return all(A[t] >= 0 for t in range(d, n + 1))
+        return None
+    return A if all(A[t] >= 0 for t in range(d, n + 1)) else None
+
+
+def verify_lp_witness(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> bool:
+    """Exact check that B is a valid nondegenerate distribution at (n, K, d)."""
+    return _witness_A(n, K, d, B) is not None
 
 
 def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) -> bool:
@@ -409,9 +416,9 @@ def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
         if sol.status == "optimal":
             assert sol.x is not None
             B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
-            if not verify_lp_witness(n, K, d, B):
+            A = _witness_A(n, K, d, B)
+            if A is None:
                 raise InvariantError("simplex produced an invalid feasibility witness")
-            A = macwilliams_transform(B, n, 4, scale)
             return LPVerdict(
                 n=n, K=K, d=d, feasible=True, witness_B=tuple(B), witness_A=tuple(A)
             )
@@ -424,11 +431,14 @@ def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
     return LPVerdict(n=n, K=K, d=d, feasible=False, certificate=cert)
 
 
+@lru_cache(maxsize=CRITICAL_K_CACHE)
 def lp_critical_K(n: int, d: int) -> Fraction | None:
     """Largest K for which the enumerator LP is feasible; None when no K is.
 
     The zero-forcing and nonnegativity constraints do not involve K, so the
-    feasible K form an interval whose top is (1 + max sum B_i) / 2^n.
+    feasible K form an interval whose top is (1 + max sum B_i) / 2^n.  The
+    optimal B is verified as a witness at that K before it is returned, and
+    the answer, a function of (n, d) alone, is cached.
     """
     from .simplex import solve_lp
 
@@ -440,8 +450,12 @@ def lp_critical_K(n: int, d: int) -> Fraction | None:
         return None
     if sol.status == "unbounded":
         raise InvariantError("distribution polytope is provably bounded")
-    assert sol.objective is not None
-    return (1 - sol.objective) / (Fraction(2) ** n)
+    assert sol.x is not None and sol.objective is not None
+    critical = (1 - sol.objective) / (Fraction(2) ** n)
+    B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
+    if not verify_lp_witness(n, critical, d, B):
+        raise InvariantError("simplex produced an invalid critical-K witness")
+    return critical
 
 
 # ---------------------------------------------------------------------------

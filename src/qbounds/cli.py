@@ -23,6 +23,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from . import __version__, bounds, gf4
@@ -102,9 +103,11 @@ def _bound_names(command: str, text: str, allowed: Sequence[str]) -> list[str]:
     names = [b.strip() for b in text.split(",") if b.strip()]
     if not names:
         raise ParameterError(f"{command}: empty bound list")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in allowed:
             raise ParameterError(f"{command}: unknown bound {name!r}")
+        if name in names[:i]:
+            raise ParameterError(f"{command}: repeated bound {name!r}")
     return names
 
 
@@ -168,8 +171,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     names = _bound_names("check", args.bounds, CHECK_BOUNDS)
     if "lp" in names and n > bounds.LP_SIZE_CAP:
         raise CapacityError(f"check: lp bound capped at n <= {bounds.LP_SIZE_CAP}")
-    if "degenerate_hamming" in names and None in (args.k, args.k0, args.k1):
-        raise ParameterError("check: degenerate_hamming needs --k, --k0 and --k1")
+    if "degenerate_hamming" in names:
+        if None in (args.k, args.k0, args.k1):
+            raise ParameterError("check: degenerate_hamming needs --k, --k0 and --k1")
+    elif (args.k0, args.k1) != (None, None):
+        raise ParameterError("check: --k0 and --k1 need degenerate_hamming in --bounds")
     verdicts: list[bounds.BoundVerdict] = []
     for name in names:
         if name in CLOSED_FORM_BOUNDS:
@@ -323,7 +329,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = _Parser(
         prog="qbounds",
         description="Exact upper bounds for quantum error-correcting code parameters.",

@@ -3,6 +3,9 @@
 Solves  min c.x  subject to  A x = b, x >= 0  exactly with Bland's rule.
 When the constraints are infeasible, a Farkas certificate y is returned
 with y.A <= 0 componentwise and y.b > 0, proving infeasibility exactly.
+Entries of c, A and b are ``int`` or ``Fraction``: both carry
+``numerator`` and ``denominator``, so integer rows are scaled into the
+tableau as they are, with no conversion.
 
 The tableau is integer rows plus an integer reduced-cost row R over one
 denominator d > 0 (Edmonds-Bareiss, as in ``lrs``): the rational tableau
@@ -37,7 +40,7 @@ class LPSolution:
     farkas: list[Fraction] | None = None
 
 
-def _scale(values: Sequence[Fraction], L: int) -> list[int]:
+def _scale(values: Sequence[int | Fraction], L: int) -> list[int]:
     """L * values as integers; L is a multiple of every denominator."""
     return [v.numerator * (L // v.denominator) for v in values]
 
@@ -82,10 +85,12 @@ def _iterate(
 
 
 def solve_lp(
-    c: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    c: Sequence[int | Fraction],
+    A: Sequence[Sequence[int | Fraction]],
+    b: Sequence[int | Fraction],
 ) -> LPSolution:
     m, nv = len(A), len(c)
-    rows = [[Fraction(v) for v in row] + [Fraction(v)] for row, v in zip(A, b, strict=True)]
+    rows = [[*row, v] for row, v in zip(A, b, strict=True)]
     L = math.lcm(*(v.denominator for row in rows for v in row))
     sign = [-1 if row[-1] < 0 else 1 for row in rows]
 
@@ -114,8 +119,7 @@ def solve_lp(
                 d = _pivot(tableau, red, basis, d, i, col)
 
     # phase 2 on the original columns only, costs scaled to integers
-    cc = [Fraction(v) for v in c]
-    ci = _scale(cc, math.lcm(*(v.denominator for v in cc)))
+    ci = _scale(c, math.lcm(*(v.denominator for v in c)))
     tableau = [row[:nv] + [row[-1]] for row in tableau]
     red = [ci[j] * d - sum(ci[v] * tr[j] for v, tr in zip(basis, tableau)) for j in range(nv)]
     red.append(-sum(ci[v] * tr[-1] for v, tr in zip(basis, tableau)))
@@ -127,5 +131,5 @@ def solve_lp(
         if var >= nv:
             raise InvariantError("artificial variable survived phase 2")
         x[var] = Fraction(tableau[i][-1], d)
-    objective = sum((cv * xv for cv, xv in zip(cc, x)), Fraction(0))
+    objective = sum((cv * xv for cv, xv in zip(c, x)), Fraction(0))
     return LPSolution(status="optimal", x=x, objective=objective)

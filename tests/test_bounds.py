@@ -263,6 +263,58 @@ def test_lp_below_two_to_minus_n_needs_no_simplex(monkeypatch):
         lp_feasible(5, F(1, 32), 3)  # K = 2^-n is left to the simplex
 
 
+@pytest.fixture()
+def fresh_critical_K():
+    lp_critical_K.cache_clear()
+    yield
+    lp_critical_K.cache_clear()
+
+
+def test_critical_K_solved_once_per_n_d(monkeypatch, fresh_critical_K):
+    from qbounds import simplex
+
+    solve = simplex.solve_lp
+    row_counts = []  # the critical-K system drops the normalization row
+
+    def counted(c, A, b):
+        row_counts.append(len(A))
+        return solve(c, A, b)
+
+    monkeypatch.setattr(simplex, "solve_lp", counted)
+    n, d = 9, 3
+    criticals = set()
+    feasible = []
+    for K in (1, 2, F(7, 2), 18, 19):
+        feasible.append(lp_feasible(n, K, d).feasible)
+        criticals.add(lp_critical_K(n, d))
+    assert row_counts.count(n + 1) == 5 and row_counts.count(n) == 1
+    assert criticals == {F(128, 7)} and feasible == [True] * 4 + [False]
+    info = lp_critical_K.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
+    # bounded, and large enough for every (n, d) the LP cap admits
+    assert info.maxsize == bounds.CRITICAL_K_CACHE == LP_SIZE_CAP * (LP_SIZE_CAP + 1) // 2
+
+
+@pytest.mark.parametrize("perturb", ["x", "objective"])
+def test_critical_K_refuses_a_wrong_optimum(monkeypatch, fresh_critical_K, perturb):
+    from qbounds import simplex
+
+    solve = simplex.solve_lp
+
+    def perturbed(c, A, b):
+        sol = solve(c, A, b)
+        if perturb == "x":
+            sol.x[0] += 1
+        else:
+            sol.objective -= 1
+        return sol
+
+    monkeypatch.setattr(simplex, "solve_lp", perturbed)
+    with pytest.raises(InvariantError, match="critical-K witness"):
+        lp_critical_K(7, 3)
+    assert lp_critical_K.cache_info().currsize == 0  # a refused answer is not kept
+
+
 def test_lp_capacity_cap():
     with pytest.raises(CapacityError):
         lp_feasible(LP_SIZE_CAP + 1, 2, 3)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError
@@ -29,13 +29,10 @@ from .exact import (
     krawtchouk_eval,
     krawtchouk_table,
     krawtchouk_values,
-    macwilliams_transform,
     smallest_root_index,
 )
 
 LP_SIZE_CAP = 24  # worst-d `lp` command about 0.3 s on a 2-vCPU host
-# lp_critical_K answers kept: one for every (n, d) the cap admits
-CRITICAL_K_CACHE = LP_SIZE_CAP * (LP_SIZE_CAP + 1) // 2
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -360,21 +357,33 @@ def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
     return rows, rhs, nb
 
 
+def _over_common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Integers m and D > 0 with values[i] = m[i] / D."""
+    fracs = [Fraction(v) for v in values]
+    D = math.lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (D // v.denominator) for v in fracs], D
+
+
 def _witness_A(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> list[Fraction] | None:
-    """A = T(B) when B is a valid nondegenerate distribution at (n, K, d), else None."""
+    """A = T(B) when B is a valid nondegenerate distribution at (n, K, d), else None.
+
+    The transform runs on B over its common denominator D, as integer dot
+    products with the integer Krawtchouk rows, and each A_t is one fraction
+    sum_i P_t(i) B_i D / (D 2^n K).
+    """
     K = Fraction(K)
-    if len(B) != n + 1 or B[0] != 1:
+    if len(B) != n + 1:
         return None
-    if any(Fraction(v) < 0 for v in B):
+    b, D = _over_common_denominator(B)
+    if b[0] != D or any(v < 0 for v in b) or any(b[1:d]):
         return None
-    if any(Fraction(B[i]) != 0 for i in range(1, d)):
+    scale = (Fraction(2) ** n) * K
+    if scale <= 0:
+        raise ParameterError(f"scale must be positive, got {scale}")
+    sums = [sum(map(mul, row, b)) for row in krawtchouk_table(n)]
+    if sums[0] != D * scale or any(sums[1:d]) or any(v < 0 for v in sums[d:]):
         return None
-    A = macwilliams_transform(B, n, 4, (Fraction(2) ** n) * K)
-    if A[0] != 1:
-        return None
-    if any(A[t] != 0 for t in range(1, d)):
-        return None
-    return A if all(A[t] >= 0 for t in range(d, n + 1)) else None
+    return [v / (D * scale) for v in sums]
 
 
 def verify_lp_witness(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> bool:
@@ -383,16 +392,22 @@ def verify_lp_witness(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> boo
 
 
 def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) -> bool:
-    """Exact check of an excluding dual vector."""
+    """Exact check of an excluding dual vector.
+
+    With y = m / D over a common denominator D > 0, the values
+    f(i) = sum_t y_t P_t(i) are the integer sums of m over D, so their
+    signs, and the comparison with y_0 2^n K, are read off the integers.
+    """
     K = Fraction(K)
     if len(y) != n + 1:
         return False
-    if any(y[t] < 0 for t in range(d, n + 1)):
+    m, _ = _over_common_denominator(y)
+    if any(v < 0 for v in m[d:]):
         return False
-    values = krawtchouk_values(y, n)
-    if any(values[i] > 0 for i in range(d, n + 1)):
+    values = [sum(map(mul, column, m)) for column in zip(*krawtchouk_table(n))]
+    if any(v > 0 for v in values[d:]):
         return False
-    return values[0] < y[0] * (Fraction(2) ** n) * K
+    return values[0] < m[0] * (Fraction(2) ** n) * K
 
 
 def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
@@ -431,14 +446,12 @@ def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
     return LPVerdict(n=n, K=K, d=d, feasible=False, certificate=cert)
 
 
-@lru_cache(maxsize=CRITICAL_K_CACHE)
 def lp_critical_K(n: int, d: int) -> Fraction | None:
     """Largest K for which the enumerator LP is feasible; None when no K is.
 
     The zero-forcing and nonnegativity constraints do not involve K, so the
     feasible K form an interval whose top is (1 + max sum B_i) / 2^n.  The
-    optimal B is verified as a witness at that K before it is returned, and
-    the answer, a function of (n, d) alone, is cached.
+    optimal B is verified as a witness at that K before it is returned.
     """
     from .simplex import solve_lp
 

@@ -23,7 +23,6 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from functools import cache
 from typing import Sequence
 
 from . import __version__, bounds, gf4
@@ -214,9 +213,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise CapacityError(f"table: n-max capped at {TABLE_SIZE_CAP}")
     if "lp" in names and args.n_max > bounds.LP_SIZE_CAP:
         raise CapacityError(f"table: lp bound capped at n <= {bounds.LP_SIZE_CAP}")
+    lines = []
     if args.meta:
-        print(f"# qbounds {__version__} table n<={args.n_max} d<={args.d_max}")
-    print("n,d," + ",".join(f"{name}_kmax" for name in names))
+        lines.append(f"# qbounds {__version__} table n<={args.n_max} d<={args.d_max}")
+    lines.append("n,d," + ",".join(f"{name}_kmax" for name in names))
     for n in range(1, args.n_max + 1):
         for d in range(1, min(args.d_max, n) + 1):
             cells = []
@@ -228,7 +228,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                     verdict = _closed_form(name, n, d)
                     k_max = verdict.k_max if verdict.applicable else None
                 cells.append("-" if k_max is None else str(max(k_max, 0)))
-            print(f"{n},{d}," + ",".join(cells))
+            lines.append(f"{n},{d}," + ",".join(cells))
+    print("\n".join(lines))  # built first, so a failure leaves stdout empty
     return EXIT_OK
 
 
@@ -329,9 +330,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after it."""
     parser = _Parser(
         prog="qbounds",
         description="Exact upper bounds for quantum error-correcting code parameters.",

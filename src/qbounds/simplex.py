@@ -15,11 +15,24 @@ as every entry is a minor of the scaled input and d the basis determinant.
 A negative pivot (only when a zero-level artificial is driven out) negates
 the tableau to keep d > 0.  So each test reads as over the rationals:
 R[j] < 0 enters, ratios compare by cross-products and ties break on the
-smallest basis index.  Phase 1 scales A and b by L, the lcm of their
-denominators, with the artificial columns left at 1.  That substitutes
-a' = L a and changes no sign, ratio or tie, so the pivots, x, objective
-and Farkas vector are those of the rational tableau.  Meant for small
-dense systems (tens of rows).
+smallest basis index.  Phase 1 scales A by L_A, the lcm of its
+denominators, and b by L, the lcm of A's and b's, with the artificial
+columns left at 1.  That substitutes a' = L a and x' = (L / L_A) x and
+changes no sign, ratio or tie, so the pivots, objective and Farkas vector
+are those of the rational tableau, and x is read off over d L / L_A.  Only
+the right-hand side carries L, so integer rows with a rational b, as in
+the enumerator LP at a rational K, pivot on integers as small as for an
+integer b.  Meant for small dense systems (tens of rows).
+
+``solve_lp_then_free_row0`` solves A x = b for feasibility exactly as
+``solve_lp`` does, then continues from that final tableau to min c.x with
+row 0 dropped, instead of building a second tableau: row 0's artificial
+becomes a free variable, and phase 1 on the other artificials starts at
+the vertex just found.  Both entries run the same phase-1, drive-out and
+phase-2 helpers over one pivot loop.  On the enumerator LP (``bounds``),
+feasibility at K and max sum B at the critical K, this removes the second
+phase 1: a seed-1 ``lp_grid`` benchmark batch makes 1,734 pivots instead
+of 3,267.
 """
 
 from __future__ import annotations
@@ -84,52 +97,151 @@ def _iterate(
         d = _pivot(tableau, red, basis, d, row, col)
 
 
+def _tableau(
+    A: Sequence[Sequence[int | Fraction]], b: Sequence[int | Fraction]
+) -> tuple[list[list[int]], list[int], int]:
+    """Phase-1 tableau [L_A s_i A_i | e_i | L s_i b_i], the row signs s_i and L / L_A.
+
+    s_i = -1 where b_i < 0, so every right-hand side starts nonnegative and
+    the artificials, one per row after the original columns, form a
+    feasible basis.
+    """
+    m = len(A)
+    LA = math.lcm(*(v.denominator for row in A for v in row))
+    L = math.lcm(LA, *(v.denominator for v in b))
+    sign = [-1 if v < 0 else 1 for v in b]
+    tableau = []
+    for i, (row, v) in enumerate(zip(A, b, strict=True)):
+        unit = [int(j == i) for j in range(m)]
+        tableau.append(_scale(row, sign[i] * LA) + unit + _scale([v], sign[i] * L))
+    return tableau, sign, L // LA
+
+
+def _reduced(cost: Sequence[int], tableau: list[list[int]], basis: list[int], d: int) -> list[int]:
+    """Reduced costs of the integer costs over denominator d, the objective's negative last."""
+    red = [
+        cost[j] * d - sum(cost[v] * tr[j] for v, tr in zip(basis, tableau))
+        for j in range(len(cost))
+    ]
+    red.append(-sum(cost[v] * tr[-1] for v, tr in zip(basis, tableau)))
+    return red
+
+
+def _phase1(
+    tableau: list[list[int]], basis: list[int], d: int, nreal: int, ncols: int
+) -> tuple[list[int], int]:
+    """Minimize the sum of the artificials, columns nreal .. ncols - 1, from a feasible basis."""
+    red = _reduced([int(j >= nreal) for j in range(ncols)], tableau, basis, d)
+    _, d = _iterate(tableau, red, basis, d, ncols)
+    return red, d
+
+
+def _farkas(red: list[int], d: int, sign: list[int], columns: range) -> LPSolution:
+    """The infeasibility certificate read off phase 1's artificial reduced costs."""
+    farkas = [s * (1 - Fraction(red[j], d)) for s, j in zip(sign, columns, strict=True)]
+    return LPSolution(status="infeasible", farkas=farkas)
+
+
+def _drive_out(
+    tableau: list[list[int]], red: list[int], basis: list[int], d: int, nreal: int
+) -> int:
+    """Pivot each zero-level artificial out on the row's first nonzero real column.
+
+    A row with no such column is redundant; its artificial stays basic at
+    zero and :func:`_phase2` leaves the row out.
+    """
+    for i in range(len(tableau) - 1, -1, -1):
+        if basis[i] >= nreal:
+            col = next((j for j in range(nreal) if tableau[i][j] != 0), None)
+            if col is not None:
+                d = _pivot(tableau, red, basis, d, i, col)
+    return d
+
+
+def _phase2(
+    tableau: list[list[int]],
+    basis: list[int],
+    d: int,
+    c: Sequence[int | Fraction],
+    nreal: int,
+    rhs_scale: int,
+) -> LPSolution:
+    """min c.x over the real columns, on a copy without the redundant rows.
+
+    Real columns past len(c) cost nothing and are left out of x, which is
+    read off over d * rhs_scale (see :func:`_tableau`).
+    """
+    keep = [i for i, var in enumerate(basis) if var < nreal]
+    if any(row[-1] for var, row in zip(basis, tableau) if var >= nreal):
+        raise InvariantError("artificial variable left at a nonzero level")
+    basis = [basis[i] for i in keep]
+    tableau = [tableau[i][:nreal] + tableau[i][-1:] for i in keep]
+    ci = _scale(c, math.lcm(*(v.denominator for v in c))) + [0] * (nreal - len(c))
+    red = _reduced(ci, tableau, basis, d)
+    status, d = _iterate(tableau, red, basis, d, nreal)
+    if status == "unbounded":
+        return LPSolution(status="unbounded")
+    x = [Fraction(0)] * len(c)
+    for i, var in enumerate(basis):
+        if var < len(c):
+            x[var] = Fraction(tableau[i][-1], d * rhs_scale)
+    objective = sum((cv * xv for cv, xv in zip(c, x)), Fraction(0))
+    return LPSolution(status="optimal", x=x, objective=objective)
+
+
+def _solve(
+    c: Sequence[int | Fraction],
+    A: Sequence[Sequence[int | Fraction]],
+    b: Sequence[int | Fraction],
+) -> tuple[LPSolution, list[list[int]], list[int], int, list[int], int]:
+    """:func:`solve_lp`'s result and the state it leaves for a continuation.
+
+    That is the tableau, basis and denominator after phase 1 and the
+    drive-out (phase 2 runs on a copy), the row signs and the right-hand
+    side's extra scale L / L_A.
+    """
+    nv, m = len(c), len(A)
+    tableau, sign, rhs_scale = _tableau(A, b)
+    basis = list(range(nv, nv + m))
+    red, d = _phase1(tableau, basis, 1, nv, nv + m)
+    if red[-1] < 0:
+        sol = _farkas(red, d, sign, range(nv, nv + m))
+    else:
+        d = _drive_out(tableau, red, basis, d, nv)
+        sol = _phase2(tableau, basis, d, c, nv, rhs_scale)
+    return sol, tableau, basis, d, sign, rhs_scale
+
+
 def solve_lp(
     c: Sequence[int | Fraction],
     A: Sequence[Sequence[int | Fraction]],
     b: Sequence[int | Fraction],
 ) -> LPSolution:
-    m, nv = len(A), len(c)
-    rows = [[*row, v] for row, v in zip(A, b, strict=True)]
-    L = math.lcm(*(v.denominator for row in rows for v in row))
-    sign = [-1 if row[-1] < 0 else 1 for row in rows]
+    return _solve(c, A, b)[0]
 
-    ncols = nv + m  # original variables then one artificial per row
-    tableau = []
-    for i, row in enumerate(rows):
-        scaled = _scale(row, sign[i] * L)
-        tableau.append(scaled[:-1] + [int(j == i) for j in range(m)] + scaled[-1:])
-    basis = list(range(nv, nv + m))
 
-    # phase 1: min sum of artificials; reduced costs relative to that basis
-    red = [int(j >= nv) - sum(tr[j] for tr in tableau) for j in range(ncols)]
-    red.append(-sum(tr[-1] for tr in tableau))
-    _, d = _iterate(tableau, red, basis, 1, ncols)
+def solve_lp_then_free_row0(
+    c: Sequence[int | Fraction],
+    A: Sequence[Sequence[int | Fraction]],
+    b: Sequence[int | Fraction],
+) -> tuple[LPSolution, LPSolution]:
+    """Feasibility of A x = b, then min c.x subject to A[1:] x = b[1:], x >= 0.
+
+    The first result is ``solve_lp([0] * len(c), A, b)``.  The second
+    continues from its tableau: row 0's artificial u becomes a real
+    variable, free in sign as u - v with v's column the negated u column,
+    so row 0 no longer binds.  Phase 1 reruns on the other artificials
+    (already at zero when A x = b is feasible), the zero-level ones are
+    driven out, this time also on u or v, and phase 2 minimizes c.x.  When
+    A[1:] x = b[1:] is infeasible, the Farkas vector is over rows 1 and up.
+    """
+    nv, m = len(c), len(A)
+    feasibility, tableau, basis, d, sign, rhs_scale = _solve([0] * nv, A, b)
+    for row in tableau:
+        row.insert(nv + 1, -row[nv])
+    basis = [var + (var > nv) for var in basis]
+    red, d = _phase1(tableau, basis, d, nv + 2, nv + 1 + m)
     if red[-1] < 0:
-        farkas = [sign[i] * (1 - Fraction(red[nv + i], d)) for i in range(m)]
-        return LPSolution(status="infeasible", farkas=farkas)
-
-    # drive leftover zero-level artificials out of the basis
-    for i in range(m - 1, -1, -1):
-        if basis[i] >= nv:
-            col = next((j for j in range(nv) if tableau[i][j] != 0), None)
-            if col is None:
-                del tableau[i], basis[i]  # redundant row
-            else:
-                d = _pivot(tableau, red, basis, d, i, col)
-
-    # phase 2 on the original columns only, costs scaled to integers
-    ci = _scale(c, math.lcm(*(v.denominator for v in c)))
-    tableau = [row[:nv] + [row[-1]] for row in tableau]
-    red = [ci[j] * d - sum(ci[v] * tr[j] for v, tr in zip(basis, tableau)) for j in range(nv)]
-    red.append(-sum(ci[v] * tr[-1] for v, tr in zip(basis, tableau)))
-    status, d = _iterate(tableau, red, basis, d, nv)
-    if status == "unbounded":
-        return LPSolution(status="unbounded")
-    x = [Fraction(0)] * nv
-    for i, var in enumerate(basis):
-        if var >= nv:
-            raise InvariantError("artificial variable survived phase 2")
-        x[var] = Fraction(tableau[i][-1], d)
-    objective = sum((cv * xv for cv, xv in zip(c, x)), Fraction(0))
-    return LPSolution(status="optimal", x=x, objective=objective)
+        return feasibility, _farkas(red, d, sign[1:], range(nv + 2, nv + 1 + m))
+    d = _drive_out(tableau, red, basis, d, nv + 2)
+    return feasibility, _phase2(tableau, basis, d, c, nv + 2, rhs_scale)

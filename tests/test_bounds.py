@@ -19,6 +19,7 @@ from qbounds.bounds import (
     levenshtein_bound,
     lp_critical_K,
     lp_feasible,
+    lp_feasible_and_critical_K,
     mixed_hamming_ball,
     mixed_hamming_check,
     polynomial_bound,
@@ -376,6 +377,62 @@ def test_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
     monkeypatch.setattr(simplex, "solve_lp", perturbed)
     with pytest.raises(InvariantError, match="critical-K witness"):
         lp_critical_K(7, 3)
+
+
+@pytest.mark.parametrize("perturb", ["x", "objective"])
+def test_warm_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
+    from qbounds import simplex
+
+    solve = simplex.solve_lp_then_free_row0
+
+    def perturbed(c, A, b):
+        feasibility, freed = solve(c, A, b)
+        if perturb == "x":
+            freed.x[0] += 1
+        else:
+            freed.objective -= 1
+        return feasibility, freed
+
+    monkeypatch.setattr(simplex, "solve_lp_then_free_row0", perturbed)
+    for K in (F(2), F(5)):  # feasible, then infeasible (the critical K is 24/5)
+        with pytest.raises(InvariantError, match="critical-K witness"):
+            lp_feasible_and_critical_K(7, K, 3)
+
+
+def test_lp_feasible_and_critical_K_agree_with_separate_solves():
+    """Exhaustive for n <= 12: one tableau gives what the two cold solves give."""
+    for n in range(1, 13):
+        for d in range(1, n + 1):
+            critical = lp_critical_K(n, d)
+            Ks = {F(1), F(3, 2), F(1, 2**n), F(2, 2**n), F(2**n), F(2) ** (n - 2 * d + 2)}
+            if critical is not None:
+                Ks |= {critical, critical + F(1, 64), critical - F(1, 64), critical / 2}
+            for K in sorted(K for K in Ks if K > 0):
+                assert lp_feasible_and_critical_K(n, K, d) == (lp_feasible(n, K, d), critical)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (4, 3)])
+def test_freed_normalization_row_pivots_on_its_own_column(monkeypatch, n, d):
+    """Rows 1 .. d-1 imply row 0 here, so phase 1 leaves an artificial basic in
+    a row that is zero on the original columns but not on row 0's.  Once row 0
+    is freed that row must pivot on u or v; deleting it leaves u unbounded."""
+    from qbounds import simplex
+
+    nv = len(bounds._lp_rows(n, d)[0][0])
+    pivot, columns = simplex._pivot, []
+
+    def recorded(tableau, red, basis, den, row, col):
+        columns.append(col)
+        return pivot(tableau, red, basis, den, row, col)
+
+    separate = (lp_feasible(n, 1, d), lp_critical_K(n, d))
+    monkeypatch.setattr(simplex, "_pivot", recorded)
+    lp_feasible(n, 1, d)
+    feasibility = columns[:]
+    columns.clear()
+    assert lp_feasible_and_critical_K(n, 1, d) == separate
+    assert columns[:len(feasibility)] == feasibility
+    assert {nv, nv + 1} & set(columns[len(feasibility):])
 
 
 def test_lp_capacity_cap():

@@ -348,7 +348,8 @@ def test_K_size_cap_exits_before_any_bound(capsys, monkeypatch, argv):
     def refuse(*_):
         raise AssertionError("a bound ran")
 
-    for name in ("singleton_bound", "hamming_bound", "levenshtein_bound", "lp_feasible"):
+    for name in ("singleton_bound", "hamming_bound", "levenshtein_bound", "lp_feasible",
+                 "lp_feasible_and_critical_K"):
         monkeypatch.setattr(bounds, name, refuse)
     command, flag, value = argv
     code, out, err = run(capsys, command, "--n", "5", flag, value, "--d", "3")
@@ -413,6 +414,23 @@ def test_wrong_critical_K_exits_4(capsys, monkeypatch):
 
     monkeypatch.setattr(simplex, "solve_lp", perturbed)
     code, out, err = run(capsys, "table", "--n-max", "3", "--d-max", "2", "--bounds", "lp")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "internal: simplex produced an invalid critical-K witness\n"
+
+
+@pytest.mark.parametrize("K", ["2", "5"], ids=["feasible", "infeasible"])
+def test_lp_wrong_critical_K_exits_4(capsys, monkeypatch, K):
+    from qbounds import simplex
+
+    solve = simplex.solve_lp_then_free_row0
+
+    def perturbed(c, A, b):
+        feasibility, freed = solve(c, A, b)
+        freed.objective -= 1
+        return feasibility, freed
+
+    monkeypatch.setattr(simplex, "solve_lp_then_free_row0", perturbed)
+    code, out, err = run(capsys, "lp", "--n", "7", "--K", K, "--d", "3")
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err == "internal: simplex produced an invalid critical-K witness\n"
 

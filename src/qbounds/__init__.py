@@ -17,71 +17,53 @@ Four layers:
 
 The everything-exact rule: any number presented as a bound or certificate
 is a ``fractions.Fraction`` computed without rounding.
+
+Importing the package loads no layer; a public name imports its module on
+first access (PEP 562).
 """
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundVerdict,
-    FeasiblePolynomial,
-    LPVerdict,
-    check_conditions,
-    degenerate_hamming_check,
-    hamming_bound,
-    levenshtein_bound,
-    lp_critical_K,
-    lp_feasible,
-    mixed_hamming_check,
-    polynomial_bound,
-    singleton_bound,
-    strongest,
-)
-from .errors import (
-    CapacityError,
-    InvariantError,
-    ParameterError,
-    ParseError,
-    QBoundsError,
-    SolverError,
-    StructureError,
-)
-from .exact import (
-    ExactPolynomial,
-    KrawtchoukExpansion,
-    binomial,
-    krawtchouk_eval,
-    krawtchouk_expand,
-    macwilliams_transform,
-)
-from .gf4 import (
-    AdditiveCode,
-    BinarySCode,
-    ComplementaryCode,
-    EnumeratorPair,
-    QuantumParams,
-    ReductionTarget,
-    StandardForm,
-    binary_s_code,
-    complementary_code,
-    enumerators,
-    format_code,
-    parse_code,
-    quantum_distance,
-    reduction_targets,
-    reduction_witnesses,
-    standard_form,
-    symplectic_dual,
-    weight_distribution,
-)
-from .asymptotic import (
-    CurvePoint,
-    curve_hamming_degenerate,
-    curve_nondeg_general,
-    curve_stabilizer,
-    entropy_q,
-    gamma_q,
-    generate_curve,
-    solve_monotone,
-)
+import importlib as _importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the public names it defines; each submodule is public too
+_EXPORTS = {
+    "bounds": (
+        "BoundVerdict", "FeasiblePolynomial", "LPVerdict", "check_conditions",
+        "degenerate_hamming_check", "hamming_bound", "levenshtein_bound", "lp_critical_K",
+        "lp_feasible", "mixed_hamming_check", "polynomial_bound", "singleton_bound", "strongest",
+    ),
+    "errors": (
+        "CapacityError", "InvariantError", "ParameterError", "ParseError", "QBoundsError",
+        "SolverError", "StructureError",
+    ),
+    "exact": (
+        "ExactPolynomial", "KrawtchoukExpansion", "binomial", "krawtchouk_eval",
+        "krawtchouk_expand", "macwilliams_transform",
+    ),
+    "gf4": (
+        "AdditiveCode", "BinarySCode", "ComplementaryCode", "EnumeratorPair", "QuantumParams",
+        "ReductionTarget", "StandardForm", "binary_s_code", "complementary_code", "enumerators",
+        "format_code", "parse_code", "quantum_distance", "reduction_targets",
+        "reduction_witnesses", "standard_form", "symplectic_dual", "weight_distribution",
+    ),
+    "asymptotic": (
+        "CurvePoint", "curve_hamming_degenerate", "curve_nondeg_general", "curve_stabilizer",
+        "entropy_q", "gamma_q", "generate_curve", "solve_monotone",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _importlib.import_module(f".{module}", __name__)
+    return home if name == module else getattr(home, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -35,7 +35,6 @@ reproducible for a fixed grid.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -158,6 +157,8 @@ def load_classical_bound_csv(path: str) -> ClassicalBound:
     Every defect, from an unreadable file to a malformed row or a delta or
     rate outside [0, 1], raises ParameterError; a row's error names its line.
     """
+    import csv
+
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             numbered = [(i, line) for i, line in enumerate(handle, 1) if not line.startswith("#")]

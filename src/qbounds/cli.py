@@ -12,7 +12,8 @@ a parser error included: stdout stays empty and stderr gets one line
 prefixed ``error:``, ``capacity:`` or ``internal:``.  A reader that closes
 stdout early (``| head``) ends the command quietly with exit 0.  Output is
 deterministic: no timestamps; ``--meta`` adds fixed provenance headers.
-Rationals render as 'p/q'.
+Rationals render as 'p/q'.  Only ``analyze`` imports ``gf4`` and only
+``selftest`` its suite, so the other commands start without them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__, bounds, gf4
+from . import __version__, bounds
 from .asymptotic import CURVE_IDS, generate_curve
 from .errors import (
     CapacityError,
@@ -35,7 +36,6 @@ from .errors import (
     SolverError,
     StructureError,
 )
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -56,12 +56,13 @@ TABLE_SIZE_CAP = 30
 # 50,000 samples of the slowest curve (E, or fig2 near kappa1 = 1; 35-56 us a
 # sample) take 1.7-2.8 s on a 2-vCPU host.
 CURVE_SAMPLES_CAP = 50_000
-# K's numerator and denominator take at most n + 8 bits, which admits every
-# K = 2^k with |k| <= n.  Only the LP's right-hand side carries K's
-# denominator, so K's length barely moves the cost: the slowest `lp --n 24`
-# found took 0.42 s on a 2-vCPU host with such a K (0.41 s at K = 1), and
-# the same LP solves with 166-bit parts 0.44 s.
-K_BITS_OVER_N = 8
+# K's numerator and denominator take at most 4096 bits, from LP_SIZE_CAP's
+# budget of about 0.4 s: only the LP's right-hand side carries K's
+# denominator, so the slowest `lp --n 24` (d = 4) took 0.26-0.28 s at K = 1,
+# 0.32 s with 4096-bit parts and 0.33-0.45 s with 8192-bit parts on a 2-vCPU
+# host; `check` with every bound costs the same, and at n = 5 and 16 every d
+# takes under 0.05 s.
+K_BITS_CAP = 4096
 
 
 def _fmt(value) -> object:
@@ -75,7 +76,7 @@ def _fmt(value) -> object:
     return value
 
 
-def _query_K(n: int, k: int | None, text: str | None) -> Fraction:
+def _query_K(k: int | None, text: str | None) -> Fraction:
     """K = 2^k or the positive rational ``text``; refused past the size cap before it is formed."""
     if k is not None:
         bits = abs(k) + 1
@@ -90,9 +91,10 @@ def _query_K(n: int, k: int | None, text: str | None) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"not a rational number: {text!r}") from exc
         bits = max(K.numerator.bit_length(), K.denominator.bit_length())
-    cap = max(n, 0) + K_BITS_OVER_N
-    if bits > cap:
-        raise CapacityError(f"K has a {bits}-bit numerator or denominator, over the {cap}-bit cap")
+    if bits > K_BITS_CAP:
+        raise CapacityError(
+            f"K has a {bits}-bit numerator or denominator, over the {K_BITS_CAP}-bit cap"
+        )
     if k is None and K <= 0:
         raise ParameterError(f"K must be positive, got {K}")
     return K if k is None else Fraction(2) ** k
@@ -167,7 +169,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
     if n > CHECK_SIZE_CAP:
         raise CapacityError(f"n={n} exceeds the check cap {CHECK_SIZE_CAP}")
-    K = _query_K(n, args.k, args.K)
+    K = _query_K(args.k, args.K)
     names = _bound_names("check", args.bounds, CHECK_BOUNDS)
     if "lp" in names and n > bounds.LP_SIZE_CAP:
         raise CapacityError(f"check: lp bound capped at n <= {bounds.LP_SIZE_CAP}")
@@ -235,6 +237,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import gf4
+
     try:
         with open(args.code_file, encoding="utf-8") as handle:
             text = handle.read()
@@ -275,7 +279,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_lp(args: argparse.Namespace) -> int:
-    K = _query_K(args.n, None, args.K)
+    K = _query_K(None, args.K)
     result, critical = bounds.lp_feasible_and_critical_K(args.n, K, args.d)
     payload: dict = {
         "n": args.n,
@@ -310,6 +314,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest
+
     results, ok = run_selftest()
     for name, passed, detail in results:
         print(f"{'ok' if passed else 'FAIL'} {name}: {detail}")

@@ -19,13 +19,12 @@ bit 1 = b); no elimination works on lists of symbols.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import or_, xor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -35,6 +34,9 @@ from .errors import (
     StructureError,
 )
 from .exact import macwilliams_transform
+
+if TYPE_CHECKING:
+    import random
 
 # Exhaustive weight scans walk 2^rank words; beyond this we refuse.  One scan
 # takes about 1 s at rank 22 and 12-17 s at rank 26 on a 2-vCPU host.

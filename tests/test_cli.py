@@ -19,7 +19,7 @@ from qbounds.cli import (
     CHECK_SIZE_CAP,
     CURVE_SAMPLES_CAP,
     EXIT_INTERNAL,
-    K_BITS_OVER_N,
+    K_BITS_CAP,
     TABLE_SIZE_CAP,
     main,
 )
@@ -327,21 +327,17 @@ def test_check_rejects_nonpositive_K(capsys, bounds, K):
     assert "K must be positive" in err and len(err.strip().splitlines()) == 1
 
 
-# at n = 5, K's numerator and denominator take at most 5 + K_BITS_OVER_N bits
-K_CAP_5 = 5 + K_BITS_OVER_N
-
-
 @pytest.mark.parametrize("argv", [
     ("check", "--k", "20000"),
     ("check", "--k", "-20000"),
-    ("check", "--k", str(-K_CAP_5)),
+    ("check", "--k", str(-K_BITS_CAP)),
     ("check", "--K", "1e5000"),
     ("check", "--K", "1e-5000"),
-    ("check", "--K", str(2**K_CAP_5)),
+    ("check", "--K", str(2**K_BITS_CAP)),
     ("check", "--K", "1e30000000"),
     ("lp", "--K", "1e5000"),
     ("lp", "--K", "1e-5000"),
-    ("lp", "--K", f"1/{2**K_CAP_5}"),
+    ("lp", "--K", f"1/{2**K_BITS_CAP}"),
     ("lp", "--K", "1e-30000000"),
 ], ids=lambda argv: " ".join(argv)[:24])
 def test_K_size_cap_exits_before_any_bound(capsys, monkeypatch, argv):
@@ -356,9 +352,9 @@ def test_K_size_cap_exits_before_any_bound(capsys, monkeypatch, argv):
     assert code == 3 and out == ""
     assert err.startswith("capacity:") and len(err.strip().splitlines()) == 1
     assert value not in err and len(err) < 100
-    # every K = 2^k with |k| <= n fits, and so does the largest K under the cap
+    # the cap does not depend on n: 1e5 fits at n = 5, and so does the largest K under it
     monkeypatch.undo()
-    for K in ("1/32", "32", str(2**K_CAP_5 - 1), f"1/{2**K_CAP_5 - 1}"):
+    for K in ("1/32", "32", "1e5", str(2**K_BITS_CAP - 1), f"1/{2**K_BITS_CAP - 1}"):
         assert run(capsys, command, "--n", "5", "--K", K, "--d", "3")[0] == 0
 
 

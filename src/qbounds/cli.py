@@ -12,8 +12,14 @@ a parser error included: stdout stays empty and stderr gets one line
 prefixed ``error:``, ``capacity:`` or ``internal:``.  A reader that closes
 stdout early (``| head``) ends the command quietly with exit 0.  Output is
 deterministic: no timestamps; ``--meta`` adds fixed provenance headers.
-Rationals render as 'p/q'.  Only ``analyze`` imports ``gf4`` and only
-``selftest`` its suite, so the other commands start without them.
+Rationals render as 'p/q'.
+
+Each command is one row of ``COMMANDS`` (help text, argument adder,
+handler), and ``main`` builds the parser with the subparser of the command
+that ``argv[0]`` names and no other; any other argv gets every subparser,
+so help texts and error lines read the same either way.  Only ``analyze``
+imports ``gf4``, only ``curves`` ``asymptotic`` and only ``selftest`` its
+suite, so the other commands start without them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__, bounds
-from .asymptotic import CURVE_IDS, generate_curve
 from .errors import (
     CapacityError,
     InvariantError,
@@ -63,6 +68,12 @@ CURVE_SAMPLES_CAP = 50_000
 # host; `check` with every bound costs the same, and at n = 5 and 16 every d
 # takes under 0.05 s.
 K_BITS_CAP = 4096
+# A K under K_BITS_CAP takes at most 4096 digits in the text of its numerator
+# and of its denominator, the digits on both sides of a decimal point counted
+# (p / 2^4095 as a decimal takes 4096).  A text with more is refused before
+# Fraction converts it, as Python refuses more than 4,300 digits with a
+# ValueError.
+K_DIGITS_CAP = 4096
 
 
 def _fmt(value) -> object:
@@ -83,9 +94,14 @@ def _query_K(k: int | None, text: str | None) -> Fraction:
     else:
         # Fraction forms 10^|e| for a decimal exponent e before its size can be
         # checked (1e3000000 takes 2 s); no K within the cap needs |e| >= 10^4
-        _, e, exponent = text.lower().partition("e")
+        mantissa, e, exponent = text.lower().partition("e")
         if e and len(exponent.strip().lstrip("+-").replace("_", "").lstrip("0")) > 4:
             raise CapacityError("K has a decimal exponent of more than four digits")
+        digits = max(sum(ch.isdecimal() for ch in part) for part in mantissa.split("/"))
+        if digits > K_DIGITS_CAP:
+            raise CapacityError(
+                f"K has a {digits}-digit numerator or denominator, over the {K_DIGITS_CAP}-digit cap"
+            )
         try:
             K = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -302,6 +318,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
         raise CapacityError(
             f"samples={args.samples} exceeds the curves cap {CURVE_SAMPLES_CAP}"
         )
+    from .asymptotic import generate_curve
+
     points, meta = generate_curve(args.id, args.samples, args.kappa1, args.classical_bound)
     for line in meta:
         print(f"# {line}")
@@ -336,15 +354,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qbounds",
-        description="Exact upper bounds for quantum error-correcting code parameters.",
-    )
-    parser.add_argument("--version", action="version", version=f"qbounds {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="evaluate bounds at one (n, K, d) point")
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("--k", type=int, help="log2 of the code-space dimension")
@@ -355,45 +365,78 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", default=DEFAULT_CHECK_BOUNDS)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("table", help="k_max matrix over an (n, d) grid")
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--bounds", required=True)
     p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("analyze", help="full report for a code file")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("code_file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("lp", help="exact feasibility of the enumerator LP")
+
+def _lp_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--K", type=str, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_lp)
 
-    p = sub.add_parser("curves", help="asymptotic curve CSV")
+
+def _curves_arguments(p: argparse.ArgumentParser) -> None:
+    from .asymptotic import CURVE_IDS
+
     p.add_argument("--id", required=True, choices=CURVE_IDS)
     p.add_argument("--kappa1", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--classical-bound", help="delta,rate CSV replacing the built-in")
     p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_curves)
 
-    p = sub.add_parser("selftest", help="run the invariant suite")
-    p.set_defaults(func=cmd_selftest)
+
+def _no_arguments(p: argparse.ArgumentParser) -> None:
+    pass
+
+
+# name -> (help, argument adder, handler), in the order --help lists them
+COMMANDS = {
+    "check": ("evaluate bounds at one (n, K, d) point", _check_arguments, cmd_check),
+    "table": ("k_max matrix over an (n, d) grid", _table_arguments, cmd_table),
+    "analyze": ("full report for a code file", _analyze_arguments, cmd_analyze),
+    "lp": ("exact feasibility of the enumerator LP", _lp_arguments, cmd_lp),
+    "curves": ("asymptotic curve CSV", _curves_arguments, cmd_curves),
+    "selftest": ("run the invariant suite", _no_arguments, cmd_selftest),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` alone, or of every command.
+
+    ``command`` None or a name that is no command gets every subparser, so
+    ``--help`` and the usage errors of a bad command list them all.
+    """
+    parser = _Parser(
+        prog="qbounds",
+        description="Exact upper bounds for quantum error-correcting code parameters.",
+    )
+    parser.add_argument("--version", action="version", version=f"qbounds {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()
         return status

@@ -421,9 +421,9 @@ def test_freed_normalization_row_pivots_on_its_own_column(monkeypatch, n, d):
     nv = len(bounds._lp_rows(n, d)[0][0])
     pivot, columns = simplex._pivot, []
 
-    def recorded(tableau, red, basis, den, row, col):
-        columns.append(col)
-        return pivot(tableau, red, basis, den, row, col)
+    def recorded(tableau, red, basis, nonbasic, den, row, col):
+        columns.append(nonbasic[col])
+        return pivot(tableau, red, basis, nonbasic, den, row, col)
 
     separate = (lp_feasible(n, 1, d), lp_critical_K(n, d))
     monkeypatch.setattr(simplex, "_pivot", recorded)

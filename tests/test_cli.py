@@ -1,5 +1,6 @@
 """Command-line surface: payloads, exit codes, determinism."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -15,15 +16,18 @@ import pytest
 import qbounds
 from qbounds import bounds, gf4
 from qbounds.bounds import LP_SIZE_CAP
+from qbounds import cli
 from qbounds.cli import (
     CHECK_SIZE_CAP,
+    COMMANDS,
     CURVE_SAMPLES_CAP,
     EXIT_INTERNAL,
     K_BITS_CAP,
     TABLE_SIZE_CAP,
+    build_parser,
     main,
 )
-from qbounds.errors import InvariantError, SolverError
+from qbounds.errors import InvariantError, ParameterError, SolverError
 from qbounds.selftest import fixture_manifest, fixture_text
 
 # sha256 of stdout, recorded from the power-basis / Sturm-chain implementation
@@ -224,6 +228,77 @@ def test_every_failure_is_one_stderr_line(capsys, tmp_path, monkeypatch, argv, s
     assert err.startswith(prefix) and len(err.splitlines()) == 1 and err.endswith("\n")
 
 
+# argument lists the other tests run successfully, one or more per command
+ACCEPTED = [
+    ("check", "--n", "5", "--k", "1", "--d", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
+    ("check", "--n", "5", "--k", "1", "--d", "3", "--k0", "2", "--k1", "0",
+     "--bounds", "degenerate_hamming"),
+    ("check", "--n", "20", "--K", "7/3", "--d", "4", "--format", "csv", "--meta"),
+    ("table", "--n-max", "12", "--d-max", "6", "--bounds", "singleton,hamming,levenshtein,lp"),
+    ("table", "--n-max", "3", "--d-max", "2", "--bounds", "lp", "--meta"),
+    ("analyze", "five_qubit.code"),
+    ("analyze", "five_qubit.code", "--format", "csv", "--meta"),
+    ("lp", "--n", "5", "--K", "4", "--d", "3"),
+    ("lp", "--n", "7", "--K", "5", "--d", "3", "--format", "csv", "--meta"),
+    ("curves", "--id", "E", "--samples", "100"),
+    ("curves", "--id", "fig2", "--kappa1", "0", "--samples", "40",
+     "--classical-bound", "classical.csv", "--meta"),
+    ("selftest",),
+]
+
+
+def parsed(parser, argv):
+    """The Namespace ``parser`` makes of ``argv``, or the one line it refuses it with."""
+    try:
+        return parser.parse_args(list(argv))
+    except ParameterError as exc:
+        return f"error: {exc}"
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("argv", ACCEPTED + [argv for argv, _, _ in FAILURES if argv],
+                         ids=lambda argv: " ".join(argv)[:40])
+def test_command_parser_reads_argv_as_the_full_parser(argv):
+    alone, full = build_parser(argv[0]), build_parser()
+    assert list(subparsers(alone)) == [argv[0]]
+    assert parsed(alone, argv) == parsed(full, argv)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_parser_help_matches_the_full_parser(name):
+    alone = subparsers(build_parser(name))[name]
+    assert alone.format_help() == subparsers(build_parser())[name].format_help()
+
+
+@pytest.mark.parametrize("argv", [(), ("-h",), ("--version",), ("nope",), ("--n", "5")])
+def test_argv_without_a_command_gets_every_subparser(argv):
+    assert build_parser(argv[0] if argv else None).format_help() == build_parser().format_help()
+    assert list(subparsers(build_parser(argv[0] if argv else None))) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", ACCEPTED[:1] + [("lp", "--n", "5", "--d", "3")])
+def test_main_builds_one_subparser_for_a_command(capsys, monkeypatch, argv):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recorded(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
+    run(capsys, *argv)
+    assert added == [argv[0]]
+
+
+def test_commands_register_every_handler_once():
+    handlers = [handler.__name__ for _, _, handler in COMMANDS.values()]
+    assert handlers == [f"cmd_{name}" for name in COMMANDS]
+    assert sorted(handlers) == sorted(name for name in vars(cli) if name.startswith("cmd_"))
+
+
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_0(capsys, flag):
     with pytest.raises(SystemExit) as stop:
@@ -339,6 +414,9 @@ def test_check_rejects_nonpositive_K(capsys, bounds, K):
     ("lp", "--K", "1e-5000"),
     ("lp", "--K", f"1/{2**K_BITS_CAP}"),
     ("lp", "--K", "1e-30000000"),
+    # past Python's 4,300-digit conversion limit
+    ("check", "--K", "7" * 4400),
+    ("lp", "--K", "1/" + "7" * 4400),
 ], ids=lambda argv: " ".join(argv)[:24])
 def test_K_size_cap_exits_before_any_bound(capsys, monkeypatch, argv):
     def refuse(*_):
@@ -354,7 +432,10 @@ def test_K_size_cap_exits_before_any_bound(capsys, monkeypatch, argv):
     assert value not in err and len(err) < 100
     # the cap does not depend on n: 1e5 fits at n = 5, and so does the largest K under it
     monkeypatch.undo()
-    for K in ("1/32", "32", "1e5", str(2**K_BITS_CAP - 1), f"1/{2**K_BITS_CAP - 1}"):
+    # (2^4096 - 1) / 2^4095 as a decimal, 4096 digits in all
+    digits = str((2**K_BITS_CAP - 1) * 5 ** (K_BITS_CAP - 1))
+    longest = f"{digits[:-K_BITS_CAP + 1]}.{digits[-K_BITS_CAP + 1:]}"
+    for K in ("1/32", "32", "1e5", str(2**K_BITS_CAP - 1), f"1/{2**K_BITS_CAP - 1}", longest):
         assert run(capsys, command, "--n", "5", "--K", K, "--d", "3")[0] == 0
 
 

@@ -22,6 +22,8 @@ FIVE_QUBIT = SRC / "qbounds" / "fixtures" / "five_qubit.code"
 # modules only `analyze` (gf4) or `selftest` (the suite, random) need, and
 # csv, which only a `curves --classical-bound` table needs
 NOT_LOADED = ("qbounds.gf4", "qbounds.selftest", "random", "csv")
+# and the one only `curves` needs
+NOT_LOADED_OUTSIDE_CURVES = NOT_LOADED + ("qbounds.asymptotic",)
 
 PROBE = """
 import contextlib, io, json, sys
@@ -52,22 +54,29 @@ def test_import_qbounds_loads_no_layer():
     assert [m for m in report["loaded"] if m.startswith("qbounds.")] == []
 
 
-@pytest.mark.parametrize("argv", [
-    ("check", "--n", "6", "--k", "1", "--d", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
-    ("table", "--n-max", "6", "--d-max", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
-    ("lp", "--n", "6", "--K", "2", "--d", "3"),
-    ("curves", "--id", "fig2", "--kappa1", "0.2", "--samples", "5"),
-], ids=lambda argv: argv[0])
-def test_command_leaves_unused_layers_unloaded(argv):
+@pytest.mark.parametrize("argv, unused", [
+    pytest.param(
+        ("check", "--n", "6", "--k", "1", "--d", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
+        NOT_LOADED_OUTSIDE_CURVES, id="check"),
+    pytest.param(
+        ("table", "--n-max", "6", "--d-max", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
+        NOT_LOADED_OUTSIDE_CURVES, id="table"),
+    pytest.param(("lp", "--n", "6", "--K", "2", "--d", "3"), NOT_LOADED_OUTSIDE_CURVES, id="lp"),
+    pytest.param(("curves", "--id", "fig2", "--kappa1", "0.2", "--samples", "5"), NOT_LOADED,
+                 id="curves"),
+])
+def test_command_leaves_unused_layers_unloaded(argv, unused):
     report = probe(RUN_COMMAND, *argv)
     assert report["status"] == 0
     assert {"qbounds.bounds", "qbounds.cli"} <= set(report["loaded"])
-    assert [m for m in NOT_LOADED if m in report["loaded"]] == []
+    assert [m for m in unused if m in report["loaded"]] == []
 
 
 def test_analyze_loads_gf4():
     report = probe(RUN_COMMAND, "analyze", str(FIVE_QUBIT))
     assert report["status"] == 0 and "qbounds.gf4" in report["loaded"]
+    # every module of NOT_LOADED_OUTSIDE_CURVES but gf4
+    assert [m for m in NOT_LOADED_OUTSIDE_CURVES[1:] if m in report["loaded"]] == []
 
 
 def test_selftest_passes_from_a_fresh_interpreter():

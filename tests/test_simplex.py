@@ -1,13 +1,19 @@
 """Fraction-free simplex against the Fraction-tableau oracle it replaced.
 
-Both follow Bland's rule on the same tableau, so they must agree exactly on
-status, x, objective and Farkas vector, not merely on the optimum value.
-The continuation ``solve_lp_then_free_row0`` leaves the oracle's path
-after its feasibility solve, so its second LP is held to the oracle's
-status and optimum, and its x and Farkas vector are checked directly.
+Both follow Bland's rule on the same LP, so they must take the same pivots,
+as (entering, leaving) variable ids, and agree exactly on status, x,
+objective and Farkas vector, not merely on the optimum value.  The
+continuation ``solve_lp_then_free_row0`` leaves the oracle's path after its
+feasibility solve, so its second LP is held to the oracle's status and
+optimum, and its x and Farkas vector are checked directly.
 """
 
+import contextlib
+import io
+import sys
+import types
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,9 +23,52 @@ from qbounds import simplex
 from qbounds.bounds import lp_critical_K, lp_feasible, lp_feasible_and_critical_K
 from qbounds.errors import InvariantError
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
 
 def outcome(sol):
     return sol.status, sol.x, sol.objective, sol.farkas
+
+
+@contextlib.contextmanager
+def pivot_paths():
+    """Record each solver's pivots as (entering, leaving) variable ids."""
+    paths = {"simplex": [], "oracle": []}
+    pivot, oracle_pivot = simplex._pivot, simplex_oracle._pivot
+
+    def recorded(tableau, red, basis, nonbasic, d, row, col):
+        paths["simplex"].append((nonbasic[col], basis[row]))
+        return pivot(tableau, red, basis, nonbasic, d, row, col)
+
+    def oracle_recorded(tableau, red, basis, row, col):
+        paths["oracle"].append((col, basis[row]))
+        return oracle_pivot(tableau, red, basis, row, col)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_pivot", recorded)
+        patch.setattr(simplex_oracle, "_pivot", oracle_recorded)
+        yield paths
+
+
+# the defaults bind the solvers themselves, which the enumerator test patches over
+def check_solve(c, A, b, solve_lp=simplex.solve_lp):
+    """solve_lp's result, once its pivots and outcome match the oracle's."""
+    with pivot_paths() as paths:
+        sol = solve_lp(c, A, b)
+        want = simplex_oracle.solve_lp(c, A, b)
+    assert paths["simplex"] == paths["oracle"]
+    assert outcome(sol) == outcome(want)
+    return sol
+
+
+def check_solve_then_free(c, A, b, solve_then_free=simplex.solve_lp_then_free_row0):
+    """The continuation's two results, once its feasibility pivots match the oracle's."""
+    with pivot_paths() as paths:
+        results = solve_then_free(c, A, b)
+        simplex_oracle.solve_lp([0] * len(c), A, b)
+    assert paths["simplex"][:len(paths["oracle"])] == paths["oracle"]
+    check_continuation(c, A, b, *results)
+    return results
 
 
 def check_continuation(c, A, b, feasibility, freed):
@@ -39,19 +88,15 @@ def check_continuation(c, A, b, feasibility, freed):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_enumerator_lps_match_oracle(monkeypatch, n):
-    solve = simplex.solve_lp
-    solve_then_free = simplex.solve_lp_then_free_row0
     statuses = []
 
     def checked(c, A, b):
-        sol = solve(c, A, b)
-        assert outcome(sol) == outcome(simplex_oracle.solve_lp(c, A, b))
+        sol = check_solve(c, A, b)
         statuses.append(sol.status)
         return sol
 
     def checked_then_free(c, A, b):
-        feasibility, freed = solve_then_free(c, A, b)
-        check_continuation(c, A, b, feasibility, freed)
+        feasibility, freed = check_solve_then_free(c, A, b)
         statuses.append(feasibility.status)
         return feasibility, freed
 
@@ -105,8 +150,7 @@ def lps(draw):
 @example(([F(-1), F(0)], [[F(1), F(-1)]], [F(1)]))
 def test_random_lps_match_oracle(lp):
     c, A, b = lp
-    sol = simplex.solve_lp(c, A, b)
-    assert outcome(sol) == outcome(simplex_oracle.solve_lp(c, A, b))
+    sol = check_solve(c, A, b)
     if sol.status == "optimal":
         assert all(v >= 0 for v in sol.x)
         assert all(sum(a * v for a, v in zip(row, sol.x)) == bi for row, bi in zip(A, b))
@@ -130,10 +174,22 @@ def test_random_lps_match_oracle(lp):
 @example(([F(0), F(0)], [[F(1), F(1)], [F(1), F(1)], [F(1), F(1)]], [F(1), F(2), F(3)]))
 def test_continuation_matches_oracle(lp):
     c, A, b = lp
-    check_continuation(c, A, b, *simplex.solve_lp_then_free_row0(c, A, b))
+    check_solve_then_free(c, A, b)
 
 
 def test_phase2_refuses_an_artificial_left_nonzero():
-    # x_0 + a_0 = 1 with the artificial a_0 still basic at level 1
+    # x_0 + a_0 = 1 with x_0 nonbasic and the artificial a_0 still basic at level 1
     with pytest.raises(InvariantError, match="nonzero level"):
-        simplex._phase2([[1, 1, 1]], [1], 1, [F(1)], 1, 1)
+        simplex._phase2([[1, 1]], [1], [0], 1, [F(1)], 1, 1)
+
+
+def test_seed_1_lp_grid_batch_makes_1734_pivots(monkeypatch):
+    # the benchmark's op list, read and executed here so nothing is written under bench/
+    workloads = types.ModuleType("bench_workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), workloads.__dict__)
+    from qbounds.cli import main
+
+    with pivot_paths() as paths, contextlib.redirect_stdout(io.StringIO()):
+        statuses = {main(op.argv) for op in workloads.lp_grid(1).ops}
+    assert statuses == {0} and len(paths["simplex"]) == 1734

@@ -14,10 +14,10 @@ integer reduced-cost row R in the same layout.  ``basis[i]`` names row i's
 variable and ``nonbasic[k]`` column k's; the unit columns of the basic
 variables are never stored, so the tableau is nv + 1 wide, not nv + m + 1.
 The rational tableau is T/d.  A pivot on (r, k) with p = T[r][k] and s its
-sign first multiplies row r by s; it then sets each other cell, R's too, to
-(T[i][j] |p| - T[i][k] s T[r][j]) / d and d to |p|.  The division is exact,
-as every entry is a minor of the scaled input and d the basis determinant.
-Column k then holds the leaving variable: -s T[i][k] in row i != r, s d in
+sign sets each cell of another row, R's too, to
+(T[i][j] |p| - T[i][k] s T[r][j]) / d, multiplies row r by s and sets d
+to |p|.  The division is exact, as every entry is a minor of the scaled
+input and d the basis determinant.  Column k then holds the leaving variable: -s T[i][k] in row i != r, s d in
 row r and -s R[k] in R, which is the Bareiss update of its unit column d e_r.
 So each test reads as over the rationals: among the nonbasic variables the
 one with the smallest index and R < 0 enters, ratios compare by

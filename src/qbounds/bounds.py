@@ -29,6 +29,7 @@ from .exact import (
     krawtchouk_eval,
     krawtchouk_table,
     krawtchouk_values,
+    over_common_denominator,
     smallest_root_index,
 )
 
@@ -361,13 +362,6 @@ def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
     return rows, rhs, nb
 
 
-def _over_common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """Integers m and D > 0 with values[i] = m[i] / D."""
-    fracs = [Fraction(v) for v in values]
-    D = math.lcm(*(v.denominator for v in fracs))
-    return [v.numerator * (D // v.denominator) for v in fracs], D
-
-
 def _witness_A(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> list[Fraction] | None:
     """A = T(B) when B is a valid nondegenerate distribution at (n, K, d), else None.
 
@@ -378,7 +372,7 @@ def _witness_A(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> list[Fract
     K = Fraction(K)
     if len(B) != n + 1:
         return None
-    b, D = _over_common_denominator(B)
+    b, D = over_common_denominator(B)
     if b[0] != D or any(v < 0 for v in b) or any(b[1:d]):
         return None
     scale = (Fraction(2) ** n) * K
@@ -405,7 +399,7 @@ def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) ->
     K = Fraction(K)
     if len(y) != n + 1:
         return False
-    m, _ = _over_common_denominator(y)
+    m, _ = over_common_denominator(y)
     if any(v < 0 for v in m[d:]):
         return False
     values = [sum(map(mul, column, m)) for column in zip(*krawtchouk_table(n))]

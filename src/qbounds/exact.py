@@ -60,6 +60,16 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def over_common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Integers m and D > 0 with values[i] = m[i] / D, D the lcm of the denominators.
+
+    ``int`` and ``Fraction`` both carry ``numerator`` and ``denominator``,
+    so neither is converted first.
+    """
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
 # ---------------------------------------------------------------------------
 # dense univariate polynomials, coefficient lists low degree -> high
 # ---------------------------------------------------------------------------

@@ -419,14 +419,14 @@ def test_freed_normalization_row_pivots_on_its_own_column(monkeypatch, n, d):
     from qbounds import simplex
 
     nv = len(bounds._lp_rows(n, d)[0][0])
-    pivot, columns = simplex._pivot, []
+    pivot, columns = simplex._Dictionary.pivot, []
 
-    def recorded(tableau, red, basis, nonbasic, den, row, col):
-        columns.append(nonbasic[col])
-        return pivot(tableau, red, basis, nonbasic, den, row, col)
+    def recorded(dictionary, row, col):
+        columns.append(dictionary.nonbasic[col])
+        return pivot(dictionary, row, col)
 
     separate = (lp_feasible(n, 1, d), lp_critical_K(n, d))
-    monkeypatch.setattr(simplex, "_pivot", recorded)
+    monkeypatch.setattr(simplex._Dictionary, "pivot", recorded)
     lp_feasible(n, 1, d)
     feasibility = columns[:]
     columns.clear()

@@ -9,6 +9,7 @@ optimum, and its x and Farkas vector are checked directly.
 """
 
 import contextlib
+import copy
 import io
 import sys
 import types
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import simplex_oracle
-from qbounds import simplex
+from qbounds import bounds, simplex
 from qbounds.bounds import lp_critical_K, lp_feasible, lp_feasible_and_critical_K
 from qbounds.errors import InvariantError
 
@@ -34,18 +35,18 @@ def outcome(sol):
 def pivot_paths():
     """Record each solver's pivots as (entering, leaving) variable ids."""
     paths = {"simplex": [], "oracle": []}
-    pivot, oracle_pivot = simplex._pivot, simplex_oracle._pivot
+    pivot, oracle_pivot = simplex._Dictionary.pivot, simplex_oracle._pivot
 
-    def recorded(tableau, red, basis, nonbasic, d, row, col):
-        paths["simplex"].append((nonbasic[col], basis[row]))
-        return pivot(tableau, red, basis, nonbasic, d, row, col)
+    def recorded(dictionary, row, col):
+        paths["simplex"].append((dictionary.nonbasic[col], dictionary.basis[row]))
+        return pivot(dictionary, row, col)
 
     def oracle_recorded(tableau, red, basis, row, col):
         paths["oracle"].append((col, basis[row]))
         return oracle_pivot(tableau, red, basis, row, col)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simplex, "_pivot", recorded)
+        patch.setattr(simplex._Dictionary, "pivot", recorded)
         patch.setattr(simplex_oracle, "_pivot", oracle_recorded)
         yield paths
 
@@ -177,10 +178,33 @@ def test_continuation_matches_oracle(lp):
     check_solve_then_free(c, A, b)
 
 
+def check_inputs_unchanged(c, A, b):
+    """Both entry points leave c, A and b as they found them."""
+    before = copy.deepcopy((c, A, b))
+    simplex.solve_lp(c, A, b)
+    simplex.solve_lp_then_free_row0(c, A, b)
+    assert (c, A, b) == before
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(lps())
+def test_solvers_leave_random_inputs_unchanged(lp):
+    check_inputs_unchanged(*lp)
+
+
+def test_solvers_leave_enumerator_rows_unchanged():
+    # the continuation inserts v's column into every dictionary row, never into A's
+    for n in range(1, 11):
+        for d in range(1, n + 1):
+            rows, rhs, nb = bounds._lp_rows(n, d)
+            rhs[0] += F(2) ** n * F(3, 2)
+            check_inputs_unchanged([-1] * nb + [0] * (len(rows[0]) - nb), rows, rhs)
+
+
 def test_phase2_refuses_an_artificial_left_nonzero():
     # x_0 + a_0 = 1 with x_0 nonbasic and the artificial a_0 still basic at level 1
     with pytest.raises(InvariantError, match="nonzero level"):
-        simplex._phase2([[1, 1]], [1], [0], 1, [F(1)], 1, 1)
+        simplex._Dictionary.phase1_start([[1]], [1], 1).phase2([F(1)])
 
 
 def test_seed_1_lp_grid_batch_makes_1734_pivots(monkeypatch):

@@ -29,6 +29,7 @@ from .exact import (
     krawtchouk_eval,
     krawtchouk_table,
     krawtchouk_values,
+    macwilliams_transform,
     over_common_denominator,
     smallest_root_index,
 )
@@ -40,6 +41,11 @@ LP_SIZE_CAP = 24  # worst-d `lp --n 24 --K 1` (d = 4) about 0.41 s on a 2-vCPU h
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _require_d(n: int, d: int) -> None:
+    if not 1 <= d <= n:
+        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
 
 
 def floor_log2(x: Fraction) -> int:
@@ -120,8 +126,7 @@ def check_conditions(values: Sequence[Fraction | int], d: int) -> FeasiblePolyno
     ``len(values) - 1``; f_0 .. f_n are its Krawtchouk coefficients for q = 4.
     """
     n = len(values) - 1
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _require_d(n, d)
     values = [Fraction(v) for v in values]
     return _sign_certificate(values, KrawtchoukExpansion.from_values(values, n), d)
 
@@ -174,8 +179,7 @@ def polynomial_bound(fp: FeasiblePolynomial, bound_name: str = "custom_poly") ->
 
 def singleton_bound(n: int, d: int) -> BoundVerdict:
     """K <= 2^{n-2d+2} via the product polynomial; closed form asserted."""
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _require_d(n, d)
     # the product at the integers 0 .. n; it vanishes from d on
     top, den = Fraction(4) ** (n - d + 1), math.prod(range(d, n + 1))
     values = [top * math.prod(j - i for j in range(d, n + 1)) / den for i in range(n + 1)]
@@ -195,7 +199,7 @@ def singleton_bound(n: int, d: int) -> BoundVerdict:
 def hamming_expansion(n: int, d: int) -> KrawtchoukExpansion:
     """Krawtchouk coefficients f_i = (P_e(i-1, n-1) / V)^2, V the ball size."""
     e = (d - 1) // 2
-    ball = sum(3**s * binomial(n, s) for s in range(e + 1))
+    ball = mixed_hamming_ball(0, n, e)
     coeffs = tuple(
         (krawtchouk_eval(e, i - 1, n - 1) / ball) ** 2 for i in range(n + 1)
     )
@@ -204,10 +208,9 @@ def hamming_expansion(n: int, d: int) -> KrawtchoukExpansion:
 
 def hamming_bound(n: int, d: int) -> BoundVerdict:
     """K <= 2^n / sum_{s<=e} 3^s C(n, s), with e = floor((d-1)/2)."""
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _require_d(n, d)
     e = (d - 1) // 2
-    ball = sum(3**s * binomial(n, s) for s in range(e + 1))
+    ball = mixed_hamming_ball(0, n, e)
     expansion = hamming_expansion(n, d)
     fp = _sign_certificate(krawtchouk_values(expansion.coeffs, n), expansion, d)
     if not fp.accepted:
@@ -243,7 +246,7 @@ def _lev_value(k: int, n: int, x: int) -> Fraction | None:
     denom = krawtchouk_eval(k, x, n)
     if denom == 0:
         return None
-    head = sum(Fraction(binomial(n, i) * 3**i) for i in range(k))
+    head = mixed_hamming_ball(0, n, k - 1)
     tail = (
         Fraction(binomial(n, k) * 3**k)
         * krawtchouk_eval(k - 1, x - 1, n - 1)
@@ -337,6 +340,15 @@ class LPVerdict:
     certificate: tuple[Fraction, ...] | None = None
 
 
+def _lp_domain(n: int, K: Fraction | int, d: int) -> Fraction:
+    """K as a Fraction, once K > 0 and 1 <= d <= n are checked."""
+    K = Fraction(K)
+    if K <= 0:
+        raise ParameterError(f"K must be positive, got {K}")
+    _require_d(n, d)
+    return K
+
+
 def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
     """Integer LP rows over B_d .. B_n and one surplus per row t >= d; rhs -P_t(0).
 
@@ -347,8 +359,7 @@ def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
     :func:`lp_critical_K` drops the row, and
     :func:`lp_feasible_and_critical_K` frees it after the feasibility solve.
     """
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _require_d(n, d)
     if n > LP_SIZE_CAP:
         raise CapacityError(f"n={n} exceeds the exact-LP cap {LP_SIZE_CAP}")
     nb = n - d + 1
@@ -365,28 +376,19 @@ def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
 def _witness_A(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> list[Fraction] | None:
     """A = T(B) when B is a valid nondegenerate distribution at (n, K, d), else None.
 
-    The transform runs on B over its common denominator D, as integer dot
-    products with the integer Krawtchouk rows, and each A_t is one fraction
-    sum_i P_t(i) B_i D / (D 2^n K).
+    T is :func:`macwilliams_transform` at scale 2^n K.
     """
-    K = Fraction(K)
-    if len(B) != n + 1:
+    if len(B) != n + 1 or B[0] != 1 or any(v < 0 for v in B) or any(B[1:d]):
         return None
-    b, D = over_common_denominator(B)
-    if b[0] != D or any(v < 0 for v in b) or any(b[1:d]):
+    A = macwilliams_transform(B, n, 4, (Fraction(2) ** n) * K)
+    if A[0] != 1 or any(A[1:d]) or any(v < 0 for v in A[d:]):
         return None
-    scale = (Fraction(2) ** n) * K
-    if scale <= 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    sums = [sum(map(mul, row, b)) for row in krawtchouk_table(n)]
-    if sums[0] != D * scale or any(sums[1:d]) or any(v < 0 for v in sums[d:]):
-        return None
-    return [v / (D * scale) for v in sums]
+    return A
 
 
 def verify_lp_witness(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> bool:
     """Exact check that B is a valid nondegenerate distribution at (n, K, d)."""
-    return _witness_A(n, K, d, B) is not None
+    return _witness_A(n, _lp_domain(n, K, d), d, B) is not None
 
 
 def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) -> bool:
@@ -396,7 +398,7 @@ def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) ->
     f(i) = sum_t y_t P_t(i) are the integer sums of m over D, so their
     signs, and the comparison with y_0 2^n K, are read off the integers.
     """
-    K = Fraction(K)
+    K = _lp_domain(n, K, d)
     if len(y) != n + 1:
         return False
     m, _ = over_common_denominator(y)
@@ -457,9 +459,7 @@ def _lp_system(
     Row 0 then reads sum_{i >= d} B_i = 2^n K - 1, so below K = 2^-n its
     right-hand side is negative and it alone excludes K.
     """
-    K = Fraction(K)
-    if K <= 0:
-        raise ParameterError(f"K must be positive, got {K}")
+    K = _lp_domain(n, K, d)
     rows, rhs, nb = _lp_rows(n, d)
     rhs[0] += (Fraction(2) ** n) * K
     return K, rows, rhs, nb
@@ -528,7 +528,7 @@ def mixed_hamming_ball(l: int, n_total: int, e: int) -> int:
     """
     total = 0
     for i in range(e + 1):
-        for j in range(i + 1):
+        for j in range(min(i, l) + 1):
             total += binomial(l, j) * 3 ** (i - j) * binomial(n_total - l, i - j)
     return total
 

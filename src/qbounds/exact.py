@@ -22,14 +22,15 @@ At the integers 0 .. n it fills the integer table P[t][i] = P_t(i, n)
 weight-distribution transform and the change between a polynomial's
 values f(0 .. n) and its Krawtchouk coefficients (the matrix
 M[i][t] = P_t(i, n) satisfies M^2 = q^n I).  At other x the recurrence
-runs in ints (integer x) or Fractions, and in polynomial form it gives the
-power-basis coefficients.  Because (-1)^t P_t has a positive leading
-coefficient and the recurrence's last coefficient is negative, P_0 .. P_k
-is a Sturm sequence: its sign changes at x count the roots of P_k above
-x.  So x lies below the smallest root of P_k exactly when P_0 .. P_k are
-all positive at x, and one scan of the column P_0(x) .. P_n(x) for its
-first nonpositive entry (the smallest-root index of x) places x against
-the smallest root of every P_k at once.
+runs in ints (integer x) or Fractions.  The power-basis coefficients of
+an expansion are interpolated from its values at 0 .. n
+(:meth:`KrawtchoukExpansion.synthesize`).  Because (-1)^t P_t has a
+positive leading coefficient and the recurrence's last coefficient is
+negative, P_0 .. P_k is a Sturm sequence: its sign changes at x count
+the roots of P_k above x.  So x lies below the smallest root of P_k
+exactly when P_0 .. P_k are all positive at x, and one scan of the column
+P_0(x) .. P_n(x) for its first nonpositive entry (the smallest-root index
+of x) places x against the smallest root of every P_k at once.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ParameterError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Integer tables kept at once.  A bound at length n reads the tables for n,
 # n-1 and n-2; one table at n = 200 holds about 4 MB.
@@ -68,51 +66,6 @@ def over_common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int]
     """
     D = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (D // v.denominator) for v in values], D
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials, coefficient lists low degree -> high
-# ---------------------------------------------------------------------------
-
-
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return _trim(out)
-
-
-def _poly_scale(a: Sequence[Fraction], s: Fraction) -> list[Fraction]:
-    if s == 0:
-        return []
-    return [v * s for v in a]
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, va in enumerate(a):
-        if va == 0:
-            continue
-        for j, vb in enumerate(b):
-            out[i + j] += va * vb
-    return _trim(out)
-
-
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +107,6 @@ def _column(k: int, x: Fraction, n: int, q: int) -> list:
             table = krawtchouk_table(n, q)
             return [table[t][x] for t in range(k + 1)]
     return _recurrence(k, x, n, q)
-
-
-def krawtchouk_coeffs(t: int, n: int, q: int = 4) -> tuple[Fraction, ...]:
-    """Power-basis coefficients of P_t(x, n), length t+1."""
-    _validate_tnq(t, n, q)
-    prev: list[Fraction] = []
-    cur = [_ONE]
-    for s in range(t):
-        step = _poly_add(
-            _poly_mul([Fraction((q - 1) * (n - s) + s), Fraction(-q)], cur),
-            _poly_scale(prev, Fraction(-(q - 1) * (n - s + 1))),
-        )
-        prev, cur = cur, _poly_scale(step, Fraction(1, s + 1))
-    return tuple(cur)
 
 
 def krawtchouk_eval(t: int, x: Fraction | int, n: int, q: int = 4) -> Fraction:
@@ -213,7 +152,9 @@ class ExactPolynomial:
             raise ParameterError(f"ambient length must be nonnegative, got {self.n}")
         if self.q < 2:
             raise ParameterError(f"alphabet size q must be >= 2, got {self.q}")
-        cleaned = _trim([Fraction(c) for c in self.coeffs])
+        cleaned = [Fraction(c) for c in self.coeffs]
+        while cleaned and cleaned[-1] == 0:
+            cleaned.pop()
         if len(cleaned) - 1 > self.n:
             raise ParameterError(
                 f"degree {len(cleaned) - 1} exceeds ambient length {self.n}"
@@ -225,7 +166,11 @@ class ExactPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x: Fraction | int) -> Fraction:
-        return _poly_eval(self.coeffs, Fraction(x))
+        """f(x) by Horner's rule."""
+        x, acc = Fraction(x), Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
 
 @dataclass(frozen=True)
@@ -252,15 +197,28 @@ class KrawtchoukExpansion:
         return cls(tuple(krawtchouk_values(values, n, q, q**n)), n, q)
 
     def synthesize(self) -> ExactPolynomial:
-        """Re-expand into the power basis: sum f_t P_t(x, n)."""
-        total: list[Fraction] = []
-        for t, ft in enumerate(self.coeffs):
-            if ft == 0:
-                continue
-            total = _poly_add(
-                total, _poly_scale(list(krawtchouk_coeffs(t, self.n, self.q)), ft)
-            )
-        return ExactPolynomial(tuple(total), self.n, self.q)
+        """Re-expand into the power basis: sum f_t P_t(x, n).
+
+        f is interpolated from its values at 0 .. n.  Newton's forward
+        differences give a_k = Delta^k f(0) / k!, its coefficients on the
+        falling factorials x (x-1) .. (x-k+1), and Horner's rule in that
+        basis, f = a_0 + x (a_1 + (x-1) (a_2 + ...)), collects the
+        power-basis coefficients.
+        """
+        diffs = krawtchouk_values(self.coeffs, self.n, self.q)
+        a = []
+        for k in range(self.n + 1):
+            a.append(diffs[0] / math.factorial(k))
+            diffs = [v - u for u, v in zip(diffs, diffs[1:])]
+        coeffs = [a[-1]]
+        for k in range(self.n - 1, -1, -1):
+            # coeffs * (x - k) + a_k
+            coeffs = [
+                a[k] - k * coeffs[0],
+                *(u - k * v for u, v in zip(coeffs, coeffs[1:])),
+                coeffs[-1],
+            ]
+        return ExactPolynomial(tuple(coeffs), self.n, self.q)
 
 
 def krawtchouk_expand(f: ExactPolynomial) -> KrawtchoukExpansion:
@@ -324,6 +282,10 @@ def macwilliams_transform(
 ) -> list[Fraction]:
     """A_t = (1/scale) * sum_i B_i P_t(i, n), exactly.
 
+    With B = b / D over its common denominator, each A_t is one fraction:
+    the integer dot product of the table row P_t(0 .. n) with b, over
+    D * scale.
+
     With B the weight distribution of a code of size M over a q-letter
     alphabet and scale = M, this yields the distribution of the dual code;
     applying the transform twice with scales (s, q**n / s) is the identity.
@@ -333,5 +295,6 @@ def macwilliams_transform(
         raise ParameterError(f"scale must be positive, got {scale}")
     if len(B) != n + 1:
         raise ParameterError(f"expected {n + 1} entries, got {len(B)}")
-    bb = [Fraction(v) for v in B]
-    return [sum(map(mul, row, bb)) / scale for row in krawtchouk_table(n, q)]
+    b, D = over_common_denominator(B)
+    scale *= D
+    return [sum(map(mul, row, b)) / scale for row in krawtchouk_table(n, q)]

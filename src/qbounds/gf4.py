@@ -330,6 +330,11 @@ def _span_list(generators: Sequence[int]) -> list[int]:
     return words
 
 
+def _require_enumerable(rank: int) -> None:
+    if rank > ENUMERATION_CAP:
+        raise CapacityError(f"rank {rank} exceeds enumeration cap {ENUMERATION_CAP}")
+
+
 def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
     """Counts of code words by symplectic weight; entry 0 equals 1.
 
@@ -340,8 +345,7 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
     low block's X and Z halves.  At ``ENUMERATION_CAP`` the three lists
     (low X halves, low Z halves, high words) hold at most 3 * 2^13 ints.
     """
-    if code.rank > ENUMERATION_CAP:
-        raise CapacityError(f"rank {code.rank} exceeds enumeration cap {ENUMERATION_CAP}")
+    _require_enumerable(code.rank)
     n, half = code.n, (code.rank + 1) // 2
     low = [split_halves(g, n) for g in code.generators[:half]]
     low_a = _span_list([a for a, _ in low])
@@ -392,7 +396,8 @@ def enumerators(code: AdditiveCode) -> EnumeratorPair:
     _require_self_orthogonal(code)
     n = code.n
     k = n - code.rank
-    # dual(C) is never smaller than C, so its cap check comes first
+    # dual(C), of rank 2n - rank, is never smaller than C: refuse it before building it
+    _require_enumerable(2 * n - code.rank)
     B = weight_distribution(code.dual)
     A = weight_distribution(code)
     K = 1 << k

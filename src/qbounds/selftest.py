@@ -142,46 +142,36 @@ def _all_subspace_bases(dim: int) -> Iterable[list[int]]:
 
 
 def check_mixed_ball_oracle(max_len: int = 3, max_l: int = 2) -> Check:
-    """Exhaustive sphere-packing oracle over small mixed additive codes."""
+    """Exhaustive sphere-packing oracle over small mixed additive codes.
+
+    A vector of the mixed ambient group has one bit per restricted
+    coordinate (symbol w or 0), then two bits per free coordinate.  As a
+    length-n word, restricted bit i is the Z bit of coordinate i, and the
+    two bits of free coordinate j are the X and Z bits of coordinate l + j.
+    """
     bad = 0
     total = 0
     for n in range(1, max_len + 1):
         for l in range(0, min(max_l, n) + 1):
             ambient = l + 2 * (n - l)
-            weight_of = _mixed_weight_table(n, l)
+
+            def word(v: int) -> int:
+                symbols = [2 * (v >> i & 1) for i in range(l)]
+                symbols += [v >> (l + 2 * j) & 3 for j in range(n - l)]
+                return gf4.symbols_to_int(symbols, n)
+
+            words = [word(v) for v in range(1 << ambient)]
             for rows in _all_subspace_bases(ambient):
-                dim = len(rows)
-                d = min(
-                    weight_of[w] for w in gf4.iter_span(rows) if w
-                )
+                code = gf4.AdditiveCode(n, tuple(words[v] for v in rows))
+                d = gf4.min_nonzero_weight(code)
                 total += 1
-                verdict = bounds.mixed_hamming_check(l, n, dim, d)
-                if not verdict.passed:
+                if not bounds.mixed_hamming_check(l, n, code.rank, d).passed:
                     bad += 1
     return (
         "mixed-ball-oracle",
         bad == 0,
         f"lengths <= {max_len}, l <= {max_l}: {total} codes, {bad} violations",
     )
-
-
-def _mixed_weight_table(n: int, l: int) -> list[int]:
-    """Symplectic weights for vectors of the mixed ambient group.
-
-    Bit layout: one bit per restricted coordinate (symbol w or 0), then two
-    bits per free coordinate.
-    """
-    ambient = l + 2 * (n - l)
-    table = []
-    for v in range(1 << ambient):
-        weight = 0
-        for i in range(l):
-            weight += (v >> i) & 1
-        for i in range(n - l):
-            if (v >> (l + 2 * i)) & 3:
-                weight += 1
-        table.append(weight)
-    return table
 
 
 DEFAULT_CHECKS: tuple[Callable[[], Check], ...] = (

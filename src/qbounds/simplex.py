@@ -40,8 +40,7 @@ systems (tens of rows).
 runs on a copy) to min c.x with row 0 dropped: row 0's artificial becomes
 a free variable, and phase 1 on the other artificials starts at the vertex
 just found.  On the enumerator LP (``bounds``), feasibility at K and max
-sum B at the critical K, this removes the second phase 1: a seed-1
-``lp_grid`` benchmark batch makes 1,734 pivots instead of 3,267.
+sum B at the critical K, this removes the second phase 1.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@
 * :func:`singleton_polynomial` builds the Singleton-type product
   polynomial in the power basis, for the polynomial-method tests.
 
-Neither shares code with the recurrence that ``qbounds.exact`` uses.
+None shares code with ``qbounds.exact``, which supplies only
+:class:`ExactPolynomial` to carry the results; the dense-polynomial helpers
+below are the oracle's own.
 """
 
 from __future__ import annotations
@@ -18,9 +20,49 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from qbounds.exact import ExactPolynomial, _poly_add, _poly_eval, _poly_mul, _poly_scale, _trim
+from qbounds.exact import ExactPolynomial
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+# dense univariate polynomials, coefficient lists low degree -> high
+
+
+def _trim(coeffs: list[Fraction]) -> list[Fraction]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    out = [_ZERO] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] += v
+    for i, v in enumerate(b):
+        out[i] += v
+    return _trim(out)
+
+
+def _poly_scale(a: Sequence[Fraction], s: Fraction) -> list[Fraction]:
+    return [v * s for v in a] if s else []
+
+
+def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, va in enumerate(a):
+        for j, vb in enumerate(b):
+            out[i + j] += va * vb
+    return _trim(out)
+
+
+def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = _ZERO
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def falling_binomial(x: Fraction | int, j: int) -> Fraction:

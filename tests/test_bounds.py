@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -442,6 +443,44 @@ def test_lp_capacity_cap():
         lp_feasible(5, 0, 3)
 
 
+# (n, K, d) outside the LP's domain and the line lp_feasible refuses it with;
+# K is checked before d
+OUT_OF_DOMAIN = [
+    (5, 1, 9, "need 1 <= d <= n, got d=9, n=5"),
+    (5, 1, 6, "need 1 <= d <= n, got d=6, n=5"),
+    (5, 1, 0, "need 1 <= d <= n, got d=0, n=5"),
+    (5, 0, 3, "K must be positive, got 0"),
+    (5, -1, 3, "K must be positive, got -1"),
+    (5, F(-1, 3), 3, "K must be positive, got -1/3"),
+    (5, 0, 9, "K must be positive, got 0"),
+    (LP_SIZE_CAP + 1, 1, LP_SIZE_CAP + 2, f"need 1 <= d <= n, got d={LP_SIZE_CAP + 2}"),
+]
+
+
+@pytest.mark.parametrize("n, K, d, message", OUT_OF_DOMAIN)
+def test_verifiers_refuse_what_lp_feasible_refuses(n, K, d, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        lp_feasible(n, K, d)
+    one = (1,) + (0,) * n
+    for verify, vector in [
+        (verify_lp_witness, one),
+        (verify_lp_certificate, one),
+        (verify_lp_certificate, (-1,) + (0,) * n),
+    ]:
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            verify(n, K, d, vector)
+
+
+def test_verifiers_skip_the_lp_size_cap():
+    # no solve runs, so the verifiers check inputs past LP_SIZE_CAP
+    n = LP_SIZE_CAP + 1
+    # B = (1, 0, .., 0) is the trivial code's distribution at K = 2^-n, d = 1
+    assert verify_lp_witness(n, F(1, 2**n), 1, (1,) + (0,) * n)
+    # y = (-1, 0, .., 0) excludes every K below 2^-n
+    assert verify_lp_certificate(n, F(1, 2 ** (n + 1)), 3, (-1,) + (0,) * n)
+    assert not verify_lp_certificate(n, F(1, 2**n), 3, (-1,) + (0,) * n)
+
+
 # ---------------------------------------------------------------------------
 # sphere packing for mixed codes
 # ---------------------------------------------------------------------------
@@ -457,6 +496,13 @@ def test_mixed_ball_reductions():
             assert mixed_hamming_ball(n, n, e) == sum(
                 binomial(n, i) for i in range(e + 1)
             )
+            # every l: j restricted coordinates among the i nonzero ones
+            for l in range(n + 1):
+                assert mixed_hamming_ball(l, n, e) == sum(
+                    binomial(l, j) * 3 ** (i - j) * binomial(n - l, i - j)
+                    for i in range(e + 1)
+                    for j in range(i + 1)
+                )
 
 
 def test_mixed_hamming_check_five_qubit_instance():

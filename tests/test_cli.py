@@ -446,6 +446,20 @@ def test_check_size_cap_exit(capsys):
     assert err.startswith("capacity:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("n", [gf4.ENUMERATION_CAP // 2 + 1, 3200])
+def test_analyze_refuses_an_over_cap_dual_before_building_it(capsys, tmp_path, monkeypatch, n):
+    # one row of length n: the dual has rank 2n - 1
+    def refuse(*_):
+        raise AssertionError("the dual was built")
+
+    monkeypatch.setattr(gf4, "symplectic_dual", refuse)
+    path = tmp_path / "wide.code"
+    path.write_text("X" * n + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"capacity: rank {2 * n - 1} exceeds enumeration cap {gf4.ENUMERATION_CAP}\n"
+
+
 def test_table_matrix(capsys):
     code, out, _ = run(capsys, "table", "--n-max", "8", "--d-max", "8",
                        "--bounds", "singleton,hamming")

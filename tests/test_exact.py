@@ -18,7 +18,6 @@ from qbounds.exact import (
     KrawtchoukExpansion,
     binomial,
     compare_smallest_root,
-    krawtchouk_coeffs,
     krawtchouk_eval,
     krawtchouk_expand,
     krawtchouk_table,
@@ -94,10 +93,14 @@ def test_recurrence_off_the_table_matches_defining_sum():
 
 
 def test_coeffs_match_defining_sum():
+    # the expansion with one nonzero coefficient, f_t = 1, is P_t itself
     for q in (2, 4):
         for n in range(11):
             for t in range(n + 1):
-                assert list(krawtchouk_coeffs(t, n, q)) == krawtchouk_power_coeffs(t, n, q)
+                e_t = [0] * (n + 1)
+                e_t[t] = 1
+                got = KrawtchoukExpansion(e_t, n, q).synthesize().coeffs
+                assert list(got) == krawtchouk_power_coeffs(t, n, q), (t, n, q)
 
 
 def test_krawtchouk_rejects_degree_above_n():

@@ -37,7 +37,7 @@ from .exact import (
 if TYPE_CHECKING:
     from .simplex import LPSolution
 
-LP_SIZE_CAP = 24  # worst-d `lp --n 24 --K 1` (d = 4) about 0.41 s on a 2-vCPU host
+LP_SIZE_CAP = 24  # worst-d `lp --n 24 --K 1` (d = 4) about 0.2 s on a 2-vCPU host
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

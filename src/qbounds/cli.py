@@ -63,10 +63,10 @@ TABLE_SIZE_CAP = 30
 CURVE_SAMPLES_CAP = 50_000
 # K's numerator and denominator take at most 4096 bits, from LP_SIZE_CAP's
 # budget of about 0.4 s: only the LP's right-hand side carries K's
-# denominator, so the slowest `lp --n 24` (d = 4) took 0.26-0.28 s at K = 1,
-# 0.32 s with 4096-bit parts and 0.33-0.45 s with 8192-bit parts on a 2-vCPU
-# host; `check` with every bound costs the same, and at n = 5 and 16 every d
-# takes under 0.05 s.
+# denominator, so the slowest `lp --n 24` (d = 4) took 0.17-0.22 s at K = 1,
+# 0.17-0.18 s with 4096-bit parts and 0.20-0.22 s with 8192-bit parts on a
+# 2-vCPU host; `check` with every bound costs the same, and at n = 5 and 16
+# every d takes under 0.05 s.
 K_BITS_CAP = 4096
 # A K under K_BITS_CAP takes at most 4096 digits in the text of its numerator
 # and of its denominator, the digits on both sides of a decimal point counted

@@ -14,7 +14,8 @@ steps: a pivot, a Bland's-rule run from integer costs, phase 1 and phase
 its entries in the nonbasic columns and then its right-hand side, plus an
 integer reduced-cost row R in the same layout.  ``basis[i]`` names row
 i's variable and ``nonbasic[k]`` column k's; the unit columns of the basic
-variables are never stored, so the tableau is nv + 1 wide, not nv + m + 1.
+variables are never stored, so the tableau is at most nv + 1 wide, not
+nv + m + 1.
 The rational tableau is T/d.  A pivot on (r, k) with p = T[r][k] and s its
 sign sets each cell of another row, R's too, to
 (T[i][j] |p| - T[i][k] s T[r][j]) / d, multiplies row r by s and sets d
@@ -34,6 +35,23 @@ x is read off over d L / L_A.  Only the right-hand side carries L, so
 integer rows with a rational b, as in the enumerator LP at a rational K,
 pivot on integers as small as for an integer b.  Meant for small dense
 systems (tens of rows).
+
+A real variable j whose column of A has one nonzero, in row t (a slack or
+a surplus), enters the scaled tableau as f e_t with f = L_A s_t A_tj: f
+times the column of row t's artificial a_t.  The rational tableau's
+columns are B^-1 times the scaled input's, so they stay proportional: in
+every dictionary j's column is f times a_t's, which reads d e_r while a_t
+is basic in row r.  So no column is stored for such a j while it is
+nonbasic.  Bland's rule prices it from a_t's reduced cost,
+R_j = c_j d - f (c_a d - R_a) with R_a = 0 while a_t is basic; its column
+is written out, last, only when it enters or the drive-out picks it, and
+dropped again when it leaves.  Phase 2 writes out the hidden columns
+before the artificial columns go, and so does the row-0 continuation for
+row 0's.  Every entry and test is that of the dictionary that stores all
+nonbasic columns, so the pivots, x, objective and Farkas vector do not
+change.  In the enumerator LP every surplus is such a column, so a
+phase-1 row starts with nb + 1 entries (nb columns of B_i, then the
+right-hand side), not 2 nb + 1.
 
 ``solve_lp_then_free_row0`` solves A x = b for feasibility exactly as
 ``solve_lp`` does, then continues from the phase-1 dictionary (phase 2
@@ -67,7 +85,10 @@ class _Dictionary:
 
     ``sign[i]`` is the sign row i's equation was multiplied by; the
     artificials, one per entry of ``sign``, are the last variables.
-    ``rhs_scale`` is L / L_A.
+    ``rhs_scale`` is L / L_A, and ``cost`` the last :meth:`run`'s costs.
+    ``unit[j] = (a, f)`` for each real variable j whose column is f times
+    artificial a's; ``hidden`` holds those of them whose column is not
+    stored, the nonbasic ones that are not entering.
     """
 
     rows: list[list[int]]
@@ -77,6 +98,9 @@ class _Dictionary:
     rhs_scale: int
     d: int
     red: list[int] = field(default_factory=list)
+    cost: Sequence[int] = ()
+    unit: dict[int, tuple[int, int]] = field(default_factory=dict)
+    hidden: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     @classmethod
     def phase1_start(
@@ -85,21 +109,54 @@ class _Dictionary:
         """Rows [L_A s_i A_i | L s_i b_i] over nv real variables, the artificials basic.
 
         s_i = -1 where b_i < 0, so every right-hand side starts nonnegative.
+        Columns with one nonzero start hidden (see the module docstring).
         """
         sign = [-1 if v < 0 else 1 for v in b]
         entries, LA = over_common_denominator([v for row in A for v in row])
         # 1 / L_A makes L a multiple of L_A, and L scales it to L / L_A
         [rhs_scale, *rhs], _ = over_common_denominator([Fraction(1, LA), *b])
+        unit = {}
+        for j in range(nv):
+            column = entries[j::nv]
+            if column.count(0) == len(column) - 1:
+                t = list(map(bool, column)).index(True)
+                unit[j] = (nv + t, sign[t] * column[t])
+        nonbasic = [j for j in range(nv) if j not in unit]
         rows = [
-            [s * v for v in entries[i * nv:(i + 1) * nv]] + [abs(r)]
+            [s * entries[i * nv + j] for j in nonbasic] + [abs(r)]
             for i, (_, s, r) in enumerate(zip(A, sign, rhs, strict=True))
         ]
-        return cls(rows, list(range(nv, nv + len(rows))), list(range(nv)), sign, rhs_scale, d=1)
+        basis = list(range(nv, nv + len(rows)))
+        return cls(rows, basis, nonbasic, sign, rhs_scale, d=1, unit=unit, hidden=dict(unit))
 
     @property
     def nreal(self) -> int:
         """The number of real variables, numbered before the artificials."""
-        return len(self.basis) + len(self.nonbasic) - len(self.sign)
+        return len(self.basis) + len(self.nonbasic) + len(self.hidden) - len(self.sign)
+
+    def _unit_column(self, var: int) -> tuple[list[int], int]:
+        """Hidden ``var``'s column and reduced cost over d, read off its artificial's."""
+        a, f = self.hidden[var]
+        d = self.d
+        if a in self.nonbasic:
+            k = self.nonbasic.index(a)
+            column, red_a = [f * tr[k] for tr in self.rows], self.red[k]
+        else:
+            column, red_a = [0] * len(self.rows), 0
+            column[self.basis.index(a)] = f * d
+        return column, self.cost[var] * d - f * (self.cost[a] * d - red_a)
+
+    def _column(self, var: int) -> int:
+        """The column of nonbasic ``var``; a hidden one is written out last first."""
+        if var not in self.hidden:
+            return self.nonbasic.index(var)
+        column, red = self._unit_column(var)
+        for tr, v in zip(self.rows, column):
+            tr.insert(-1, v)
+        self.red.insert(-1, red)
+        self.nonbasic.append(var)
+        del self.hidden[var]
+        return len(self.nonbasic) - 1
 
     def pivot(self, row: int, col: int) -> None:
         """Pivot on (row, col); the leaving variable ``basis[row]`` takes over column ``col``."""
@@ -121,23 +178,39 @@ class _Dictionary:
         pr[col] = s * d
         self.basis[row], self.nonbasic[col] = self.nonbasic[col], self.basis[row]
         self.d = p
+        leaving = self.nonbasic[col]
+        if leaving in self.unit:  # hidden again
+            for tr in rows:
+                del tr[col]
+            del self.red[col], self.nonbasic[col]
+            self.hidden[leaving] = self.unit[leaving]
 
     def run(self, cost: Sequence[int]) -> str:
         """Minimize the variables' integer costs by Bland's rule; 'optimal' or 'unbounded'.
 
         ``red`` starts as their reduced costs over d, the objective's negative last.
         """
-        rows, basis, nonbasic, d = self.rows, self.basis, self.nonbasic, self.d
+        rows, basis, nonbasic, hidden = self.rows, self.basis, self.nonbasic, self.hidden
+        d = self.d
+        self.cost = cost
         self.red = [
             cost[var] * d - sum(cost[v] * tr[k] for v, tr in zip(basis, rows))
             for k, var in enumerate(nonbasic)
         ]
         self.red.append(-sum(cost[v] * tr[-1] for v, tr in zip(basis, rows)))
         while True:
-            entering = [(var, k) for k, (var, r) in enumerate(zip(nonbasic, self.red)) if r < 0]
+            red, d = self.red, self.d
+            entering = [var for var, r in zip(nonbasic, red) if r < 0]
+            if hidden:
+                pos = dict(zip(nonbasic, range(len(nonbasic))))
+                # c_var d - f (c_a d - R_a) < 0, as in _unit_column
+                entering += [
+                    var for var, (a, f) in hidden.items()
+                    if cost[var] * d < f * (cost[a] * d - (red[pos[a]] if a in pos else 0))
+                ]
             if not entering:
                 return "optimal"
-            col = min(entering)[1]
+            col = self._column(min(entering))
             row = br = None
             for i, tr in enumerate(rows):
                 if tr[col] > 0:
@@ -171,26 +244,39 @@ class _Dictionary:
         for i in range(len(self.rows) - 1, -1, -1):
             if self.basis[i] >= nreal:
                 tr = self.rows[i]
-                real = [(var, k) for k, var in enumerate(self.nonbasic) if var < nreal and tr[k]]
+                pos = dict(zip(self.nonbasic, range(len(self.nonbasic))))
+                real = [var for var, v in zip(self.nonbasic, tr) if var < nreal and v]
+                # a hidden column is f times a's: tr[k] for a in column k, d e_i if a is basic here
+                real += [
+                    var for var, (a, _) in self.hidden.items()
+                    if (tr[pos[a]] if a in pos else self.basis[i] == a)
+                ]
                 if real:
-                    self.pivot(i, min(real)[1])
+                    self.pivot(i, self._column(min(real)))
         return None
 
     def phase2(self, c: Sequence[int | Fraction]) -> LPSolution:
         """min c.x over the real variables, on a copy without the redundant rows.
 
-        Artificial columns are dropped.  Real variables past len(c) cost
-        nothing and are left out of x, which is read off over d L / L_A.
+        Hidden columns are written out and artificial columns dropped, so
+        the copy stores every nonbasic column.  Real variables past len(c)
+        cost nothing and are left out of x, which is read off over d L / L_A.
         """
         nreal = self.nreal
         if any(tr[-1] for var, tr in zip(self.basis, self.rows) if var >= nreal):
             raise InvariantError("artificial variable left at a nonzero level")
         keep = [i for i, var in enumerate(self.basis) if var < nreal]
-        cols = [k for k, var in enumerate(self.nonbasic) if var < nreal] + [len(self.nonbasic)]
+        cols = [k for k, var in enumerate(self.nonbasic) if var < nreal]
+        hidden = [self._unit_column(var)[0] for var in self.hidden]
         real = _Dictionary(
-            rows=[[self.rows[i][k] for k in cols] for i in keep],
+            rows=[
+                [self.rows[i][k] for k in cols]
+                + [column[i] for column in hidden]
+                + [self.rows[i][-1]]
+                for i in keep
+            ],
             basis=[self.basis[i] for i in keep],
-            nonbasic=[self.nonbasic[k] for k in cols[:-1]],
+            nonbasic=[self.nonbasic[k] for k in cols] + list(self.hidden),
             sign=[],
             rhs_scale=self.rhs_scale,
             d=self.d,
@@ -237,6 +323,11 @@ def solve_lp_then_free_row0(
     u = len(c)
     dictionary = _Dictionary.phase1_start(A, b, u)
     feasibility = dictionary.solve([0] * u)
+    # row 0's unit columns lose their artificial u: write out the hidden ones
+    for var in [var for var, (a, _) in dictionary.hidden.items() if a == u]:
+        dictionary._column(var)
+    dictionary.unit = {var: (a + 1, f) for var, (a, f) in dictionary.unit.items() if a != u}
+    dictionary.hidden = {var: (a + 1, f) for var, (a, f) in dictionary.hidden.items()}
     basis = dictionary.basis = [var + (var > u) for var in dictionary.basis]
     nonbasic = dictionary.nonbasic = [var + (var > u) for var in dictionary.nonbasic]
     if u in basis:

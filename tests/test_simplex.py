@@ -138,8 +138,85 @@ def lps(draw):
     return c, A, b
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(lps())
+NONZERO = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-2, 3)])
+
+
+@st.composite
+def unit_lps(draw):
+    """An lps() LP with unit columns appended: one nonzero each, often several on one row."""
+    c, A, b = draw(lps())
+    rows = st.one_of(st.just(0), st.integers(0, len(A) - 1))
+    for t in draw(st.lists(rows, min_size=1, max_size=3)):
+        v = draw(NONZERO)
+        for i, row in enumerate(A):
+            row.append(v if i == t else F(0))
+        c.append(draw(ENTRY))
+    return c, A, b
+
+
+# Each reaches the four UNIT_EVENTS in both entry points, has a row flipped by
+# a negative b, and has fractional entries, so L_A > 1.
+UNIT_EXAMPLES = [
+    # two unit columns on row 0, and column 1 one on row 1
+    ([F(1, 2)] * 4,
+     [[F(-1), F(0), F(1, 2), F(-1)], [F(1, 2), F(1, 2), F(0), F(0)], [F(-2), F(0), F(0), F(0)]],
+     [F(-1), F(1, 2), F(-2)]),
+    # row 2 repeats row 0, a redundant row; columns 0, 2 and 3 are unit columns on row 1
+    ([F(-1), F(1, 2), F(-1), F(-1)],
+     [[F(0), F(-2, 3), F(0), F(0)], [F(2), F(2), F(2), F(1)], [F(0), F(2, 3), F(0), F(0)]],
+     [F(-2, 3), F(2), F(2, 3)]),
+]
+UNIT_EVENTS = {"enters, artificial basic", "enters, artificial nonbasic", "leaves", "driven in"}
+
+
+def with_unit_examples(test):
+    for lp in UNIT_EXAMPLES:
+        test = example(lp)(test)
+    return test
+
+
+@contextlib.contextmanager
+def unit_events():
+    """Record which of UNIT_EVENTS the pivots of the solves inside reach."""
+    events = set()
+    pivot, run = simplex._Dictionary.pivot, simplex._Dictionary.run
+    running = []
+
+    def recorded(dictionary, row, col):
+        entering, leaving = dictionary.nonbasic[col], dictionary.basis[row]
+        if entering in dictionary.unit:
+            basic = dictionary.unit[entering][0] in dictionary.basis
+            events.add("enters, artificial basic" if basic else "enters, artificial nonbasic")
+            if not running:  # a pivot outside Bland's rule is the drive-out's
+                events.add("driven in")
+        if leaving in dictionary.unit:
+            events.add("leaves")
+        return pivot(dictionary, row, col)
+
+    def recorded_run(dictionary, cost):
+        running.append(True)
+        try:
+            return run(dictionary, cost)
+        finally:
+            running.pop()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._Dictionary, "pivot", recorded)
+        patch.setattr(simplex._Dictionary, "run", recorded_run)
+        yield events
+
+
+@pytest.mark.parametrize("solve", [simplex.solve_lp, simplex.solve_lp_then_free_row0])
+@pytest.mark.parametrize("lp", UNIT_EXAMPLES)
+def test_unit_examples_reach_every_event(solve, lp):
+    with unit_events() as events:
+        solve(*lp)
+    assert events == UNIT_EVENTS
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(st.one_of(lps(), unit_lps()))
+@with_unit_examples
 # a zero-level artificial driven out on a negative pivot, then phase 2
 @example(([F(-1), F(1)], [[F(1), F(1)], [F(-1), F(2)]], [F(0), F(0)]))
 # a repeated row: its artificial stays at zero level in an all-zero row and is deleted
@@ -161,8 +238,9 @@ def test_random_lps_match_oracle(lp):
         assert sum(yi * bi for yi, bi in zip(y, b)) > 0
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(lps())
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(st.one_of(lps(), unit_lps()))
+@with_unit_examples
 # row 1 repeats row 0: after phase 1 its artificial is basic in a row whose
 # original columns are all zero but whose row-0 columns are not; freeing
 # row 0 must pivot there on u or v, as deleting the row leaves u unbounded
@@ -186,8 +264,9 @@ def check_inputs_unchanged(c, A, b):
     assert (c, A, b) == before
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(lps())
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.one_of(lps(), unit_lps()))
+@with_unit_examples
 def test_solvers_leave_random_inputs_unchanged(lp):
     check_inputs_unchanged(*lp)
 
@@ -201,19 +280,98 @@ def test_solvers_leave_enumerator_rows_unchanged():
             check_inputs_unchanged([-1] * nb + [0] * (len(rows[0]) - nb), rows, rhs)
 
 
+def dictionary_states(solve, lp, store_all):
+    """Each pivot's basis, d, right-hand sides and every nonbasic column with its reduced cost.
+
+    A hidden column is read off its artificial's.  With ``store_all`` the
+    unit columns are stored from the start, as f e_t, and never hidden.
+    """
+    states = []
+    pivot, start = simplex._Dictionary.pivot, simplex._Dictionary.phase1_start
+
+    def recorded(dictionary, row, col):
+        columns = {
+            var: [tr[k] for tr in dictionary.rows] + [dictionary.red[k]]
+            for k, var in enumerate(dictionary.nonbasic)
+        }
+        for var in dictionary.hidden:
+            column, red = dictionary._unit_column(var)
+            columns[var] = column + [red]
+        rhs = [tr[-1] for tr in dictionary.rows]
+        states.append((dictionary.basis[row], list(dictionary.basis), dictionary.d, rhs, columns))
+        return pivot(dictionary, row, col)
+
+    def stored(A, b, nv):
+        dictionary = start(A, b, nv)
+        for var, (a, f) in dictionary.hidden.items():
+            for i, tr in enumerate(dictionary.rows):
+                tr.insert(-1, f if i == a - nv else 0)
+            dictionary.nonbasic.append(var)
+        dictionary.unit, dictionary.hidden = {}, {}
+        return dictionary
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._Dictionary, "pivot", recorded)
+        if store_all:
+            patch.setattr(simplex._Dictionary, "phase1_start", stored)
+        results = solve(*lp)
+    return states, results
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(unit_lps())
+@with_unit_examples
+def test_hidden_columns_match_stored_columns(lp):
+    # the columns stay proportional through every pivot, the continuation's included
+    for solve in (simplex.solve_lp, simplex.solve_lp_then_free_row0):
+        assert dictionary_states(solve, lp, False) == dictionary_states(solve, lp, True)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_enumerator_surpluses_start_hidden(n):
+    # every surplus has one nonzero, so phase 1 stores only the nb columns of B_d .. B_n
+    for d in range(1, n + 1):
+        rows, rhs, nb = bounds._lp_rows(n, d)
+        dictionary = simplex._Dictionary.phase1_start(rows, rhs, len(rows[0]))
+        assert {len(row) for row in dictionary.rows} == {nb + 1}
+        assert sorted(dictionary.hidden) == list(range(nb, len(rows[0])))
+
+
 def test_phase2_refuses_an_artificial_left_nonzero():
     # x_0 + a_0 = 1 with x_0 nonbasic and the artificial a_0 still basic at level 1
     with pytest.raises(InvariantError, match="nonzero level"):
         simplex._Dictionary.phase1_start([[1]], [1], 1).phase2([F(1)])
 
 
-def test_seed_1_lp_grid_batch_makes_1734_pivots(monkeypatch):
-    # the benchmark's op list, read and executed here so nothing is written under bench/
+def run_seed_1_lp_grid_batch(monkeypatch):
+    """The pivots of the benchmark's seed-1 lp_grid ops, and the cells each one updates."""
+    # the op list is read and executed here so nothing is written under bench/
     workloads = types.ModuleType("bench_workloads")
     monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
     exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), workloads.__dict__)
     from qbounds.cli import main
 
+    cells = []
+    pivot = simplex._Dictionary.pivot
+
+    def counted(dictionary, row, col):
+        # every row but the pivot row, and the reduced-cost row, each as wide as red
+        cells.append(len(dictionary.rows) * len(dictionary.red))
+        return pivot(dictionary, row, col)
+
+    monkeypatch.setattr(simplex._Dictionary, "pivot", counted)
     with pivot_paths() as paths, contextlib.redirect_stdout(io.StringIO()):
         statuses = {main(op.argv) for op in workloads.lp_grid(1).ops}
-    assert statuses == {0} and len(paths["simplex"]) == 1734
+    assert statuses == {0}
+    return paths["simplex"], cells
+
+
+def test_seed_1_lp_grid_batch_makes_1734_pivots(monkeypatch):
+    pivots, _ = run_seed_1_lp_grid_batch(monkeypatch)
+    assert len(pivots) == 1734
+
+
+def test_seed_1_lp_grid_batch_updates_208373_cells(monkeypatch):
+    # 322,619 when every surplus column is stored
+    _, cells = run_seed_1_lp_grid_batch(monkeypatch)
+    assert len(cells) == 1734 and sum(cells) == 208_373

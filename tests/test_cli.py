@@ -79,6 +79,20 @@ GOLDEN_LP = {
     10: "32a49584d363d01b46eecc676c37356c4e7b3c9d88a8b11490f8caf8db339ff9",
 }
 
+# sha256 of the concatenated stdout, at d = 2..4, of `check --bounds lp` with K = 1,
+# 7/3, the Singleton ceiling + 1/2 and 2^(-n-1), then of `lp` at K = 2^(-n-1), where
+# no feasibility simplex runs; recorded from the implementation that built the
+# enumerator LP's rows and checks in separate helpers: witnesses, certificates, a
+# rational K and the branch below 2^-n must stay byte-identical.
+GOLDEN_CHECK_LP = {
+    5: "f3c6a85c88d5208233a0476c863d7cf7b8c96dd275ac86f89c209313907564ec",
+    6: "34195e40cc4b845b829b0f86574d4fe86d6d5aa7c76983a807a42c8fff1b6136",
+    7: "3f9577abf3595be92ac9a93d014eddeda3f3bdbeb00911e5e079e68240dfe8d3",
+    8: "cc1a110632ee07945595dfc0965a24e03496e9fd469df32e2e8d74cda65c1797",
+    9: "d748d63fbb77926f21c1be8098952eda23f0bf9ce4fdfaa01c8df4a3ac24b730",
+    10: "c948f7619c517b21bb72c5f6548194b9c8886852b9c544c8d35d1266c38f07d4",
+}
+
 
 # sha256 of the concatenated stdout of `curves --id <id>` at --samples 2, 17 and
 # 333 (fig2 at each of --kappa1 0, 0.4 and 1), keyed by (id, classical), where
@@ -372,6 +386,22 @@ def test_golden_lp(capsys, n):
             assert code == 0
             outs.append(out)
     assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == GOLDEN_LP[n]
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_CHECK_LP))
+def test_golden_check_lp(capsys, n):
+    outs = []
+    tiny = F(1, 2 ** (n + 1))
+    for d in range(2, 5):
+        for K in (F(1), F(7, 3), F(2) ** (n - 2 * d + 2) + F(1, 2), tiny):
+            code, out, _ = run(capsys, "check", "--n", str(n), "--K", str(K), "--d", str(d),
+                               "--bounds", "lp")
+            assert code == 0
+            outs.append(out)
+        code, out, _ = run(capsys, "lp", "--n", str(n), "--K", str(tiny), "--d", str(d))
+        assert code == 0
+        outs.append(out)
+    assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == GOLDEN_CHECK_LP[n]
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_CURVES), ids=lambda k: f"{k[0]}-{k[1]}")

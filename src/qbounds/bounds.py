@@ -340,141 +340,124 @@ class LPVerdict:
     certificate: tuple[Fraction, ...] | None = None
 
 
-def _lp_domain(n: int, K: Fraction | int, d: int) -> Fraction:
-    """K as a Fraction, once K > 0 and 1 <= d <= n are checked."""
-    K = Fraction(K)
-    if K <= 0:
-        raise ParameterError(f"K must be positive, got {K}")
-    _require_d(n, d)
-    return K
+class _EnumeratorLP:
+    """The enumerator LP of nondegenerate ((n, K, d)) codes and its exact checks.
 
-
-def _lp_rows(n: int, d: int) -> tuple[list[list[int]], list[int], int]:
-    """Integer LP rows over B_d .. B_n and one surplus per row t >= d; rhs -P_t(0).
-
-    Row t is the transform identity with B_0 = 1 and B_1 .. B_{d-1} = 0,
-    sum_{i >= d} B_i P_t(i) = 2^n K A_t - P_t(0): A_t = 0 for 0 < t < d, and
-    for t >= d the surplus stands for 2^n K A_t >= 0.  Row 0 (A_0 = 1) holds
-    K: :func:`_lp_system` adds 2^n K to its right-hand side,
-    :func:`lp_critical_K` drops the row, and
-    :func:`lp_feasible_and_critical_K` frees it after the feasibility solve.
+    Inputs are checked once: K, then d, then the size cap (``capped``, for
+    a solve), before any Krawtchouk table is built.  The variables are
+    B_d .. B_n, then a surplus per row t >= d.  Row t is the transform
+    identity with B_0 = 1 and B_1 .. B_{d-1} = 0,
+    sum_{i >= d} B_i P_t(i) = 2^n K A_t - P_t(0): A_t = 0 for 0 < t < d,
+    and for t >= d the surplus stands for 2^n K A_t >= 0.  The rows are
+    integers; K enters only row 0's right-hand side (A_0 = 1), which reads
+    sum_{i >= d} B_i = 2^n K - 1, so below K = 2^-n row 0 alone excludes
+    K.  Without K it is -1: the critical-K LP drops row 0.
     """
-    _require_d(n, d)
-    if n > LP_SIZE_CAP:
-        raise CapacityError(f"n={n} exceeds the exact-LP cap {LP_SIZE_CAP}")
-    nb = n - d + 1
-    rows, rhs = [], []
-    for t, values in enumerate(krawtchouk_table(n)):
-        surplus = [0] * nb
-        if t >= d:
-            surplus[t - d] = -1
-        rows.append([*values[d:], *surplus])
-        rhs.append(-values[0])
-    return rows, rhs, nb
 
+    def __init__(self, n: int, d: int, K: Fraction | int | None = None, capped: bool = True):
+        if K is not None:
+            K = Fraction(K)
+            if K <= 0:
+                raise ParameterError(f"K must be positive, got {K}")
+        _require_d(n, d)
+        if capped and n > LP_SIZE_CAP:
+            raise CapacityError(f"n={n} exceeds the exact-LP cap {LP_SIZE_CAP}")
+        self.n, self.d, self.K, self.nb = n, d, K, n - d + 1
+        table = krawtchouk_table(n)
+        self.rows = [[*row[d:], *[0] * self.nb] for row in table]
+        for t in range(d, n + 1):
+            self.rows[t][self.nb + t - d] = -1
+        self.rhs: list[int | Fraction] = [-row[0] for row in table]
+        if K is not None:
+            self.rhs[0] += (Fraction(2) ** n) * K
+        self.max_sum_B = [-1] * self.nb + [0] * self.nb  # the critical-K LP's cost
 
-def _witness_A(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> list[Fraction] | None:
-    """A = T(B) when B is a valid nondegenerate distribution at (n, K, d), else None.
+    def witness_A(self, K: Fraction, B: Sequence[Fraction]) -> list[Fraction] | None:
+        """A = T(B), T the transform at scale 2^n K, if B is valid at K; else None."""
+        n, d = self.n, self.d
+        if len(B) != n + 1 or B[0] != 1 or any(v < 0 for v in B) or any(B[1:d]):
+            return None
+        A = macwilliams_transform(B, n, 4, (Fraction(2) ** n) * K)
+        if A[0] != 1 or any(A[1:d]) or any(v < 0 for v in A[d:]):
+            return None
+        return A
 
-    T is :func:`macwilliams_transform` at scale 2^n K.
-    """
-    if len(B) != n + 1 or B[0] != 1 or any(v < 0 for v in B) or any(B[1:d]):
-        return None
-    A = macwilliams_transform(B, n, 4, (Fraction(2) ** n) * K)
-    if A[0] != 1 or any(A[1:d]) or any(v < 0 for v in A[d:]):
-        return None
-    return A
+    def excludes(self, y: Sequence[Fraction]) -> bool:
+        """Farkas: y.M <= 0 and y.b > 0, read off integers over y's and b's denominators."""
+        if len(y) != len(self.rows):
+            return False
+        m, _ = over_common_denominator(y)
+        b, _ = over_common_denominator(self.rhs)
+        return (
+            all(sum(map(mul, column, m)) <= 0 for column in zip(*self.rows))
+            and sum(map(mul, m, b)) > 0
+        )
+
+    def _B(self, sol: LPSolution) -> list[Fraction]:
+        assert sol.x is not None
+        return [_ONE] + [_ZERO] * (self.d - 1) + list(sol.x[: self.nb])
+
+    def verdict(self, sol: LPSolution | None) -> LPVerdict:
+        """The verdict from the feasibility LP's solution, checked before it is returned.
+
+        ``sol`` is None below K = 2^-n, where the normalization row alone
+        excludes K (B_0 = 1 and B_i >= 0 give 2^n K = sum B_i >= 1) with the
+        certificate y = (-1, 0, ..., 0).
+        """
+        n, K, d = self.n, self.K, self.d
+        if sol is not None and sol.status == "optimal":
+            B = self._B(sol)
+            A = self.witness_A(K, B)
+            if A is None:
+                raise InvariantError("simplex produced an invalid feasibility witness")
+            return LPVerdict(n, K, d, True, witness_B=tuple(B), witness_A=tuple(A))
+        if sol is not None and sol.status != "infeasible":
+            raise InvariantError(f"feasibility LP reported {sol.status}")
+        cert = (-_ONE,) + (_ZERO,) * n if sol is None else tuple(sol.farkas or ())
+        if not self.excludes(cert):
+            raise InvariantError("invalid dual certificate")
+        return LPVerdict(n, K, d, False, certificate=cert)
+
+    def critical_K(self, sol: LPSolution) -> Fraction | None:
+        """The critical K from the max-sum-B solution; its optimal B is checked as a witness."""
+        if sol.status == "infeasible":
+            return None
+        if sol.status == "unbounded":
+            raise InvariantError("distribution polytope is provably bounded")
+        assert sol.objective is not None
+        critical = (1 - sol.objective) / (Fraction(2) ** self.n)
+        if critical <= 0 or self.witness_A(critical, self._B(sol)) is None:
+            raise InvariantError("simplex produced an invalid critical-K witness")
+        return critical
 
 
 def verify_lp_witness(n: int, K: Fraction, d: int, B: Sequence[Fraction]) -> bool:
     """Exact check that B is a valid nondegenerate distribution at (n, K, d)."""
-    return _witness_A(n, _lp_domain(n, K, d), d, B) is not None
+    lp = _EnumeratorLP(n, d, K, capped=False)
+    return lp.witness_A(lp.K, B) is not None
 
 
 def verify_lp_certificate(n: int, K: Fraction, d: int, y: Sequence[Fraction]) -> bool:
     """Exact check of an excluding dual vector.
 
-    With y = m / D over a common denominator D > 0, the values
-    f(i) = sum_t y_t P_t(i) are the integer sums of m over D, so their
-    signs, and the comparison with y_0 2^n K, are read off the integers.
+    This is the Farkas check y.M <= 0, y.b > 0 on the LP's rows.  Read as
+    a polynomial f(i) = sum_t y_t P_t(i): the columns of B_i give
+    f(i) <= 0 on [d, n], the surplus columns give y_t >= 0 for t >= d, and
+    y.b > 0 is f(0) < y_0 2^n K.
     """
-    K = _lp_domain(n, K, d)
-    if len(y) != n + 1:
-        return False
-    m, _ = over_common_denominator(y)
-    if any(v < 0 for v in m[d:]):
-        return False
-    values = [sum(map(mul, column, m)) for column in zip(*krawtchouk_table(n))]
-    if any(v > 0 for v in values[d:]):
-        return False
-    return values[0] < m[0] * (Fraction(2) ** n) * K
-
-
-def _lp_verdict(n: int, K: Fraction, d: int, nb: int, sol: LPSolution | None) -> LPVerdict:
-    """The verdict from the feasibility LP's solution, checked before it is returned.
-
-    ``sol`` is None below K = 2^-n, where the normalization row alone
-    excludes K (B_0 = 1 and B_i >= 0 give 2^n K = sum B_i >= 1) with the
-    certificate y = (-1, 0, ..., 0).
-    """
-    cert = (-_ONE,) + (_ZERO,) * n
-    if sol is not None:
-        if sol.status == "optimal":
-            assert sol.x is not None
-            B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
-            A = _witness_A(n, K, d, B)
-            if A is None:
-                raise InvariantError("simplex produced an invalid feasibility witness")
-            return LPVerdict(
-                n=n, K=K, d=d, feasible=True, witness_B=tuple(B), witness_A=tuple(A)
-            )
-        if sol.status != "infeasible":
-            raise InvariantError(f"feasibility LP reported {sol.status}")
-        assert sol.farkas is not None
-        cert = tuple(sol.farkas)
-    if not verify_lp_certificate(n, K, d, cert):
-        raise InvariantError("invalid dual certificate")
-    return LPVerdict(n=n, K=K, d=d, feasible=False, certificate=cert)
-
-
-def _critical_K(n: int, d: int, nb: int, sol: LPSolution) -> Fraction | None:
-    """The critical K from the max-sum-B solution; its optimal B is checked as a witness."""
-    if sol.status == "infeasible":
-        return None
-    if sol.status == "unbounded":
-        raise InvariantError("distribution polytope is provably bounded")
-    assert sol.x is not None and sol.objective is not None
-    critical = (1 - sol.objective) / (Fraction(2) ** n)
-    B = [_ONE] + [_ZERO] * (d - 1) + list(sol.x[:nb])
-    if not verify_lp_witness(n, critical, d, B):
-        raise InvariantError("simplex produced an invalid critical-K witness")
-    return critical
-
-
-def _lp_system(
-    n: int, K: Fraction | int, d: int
-) -> tuple[Fraction, list[list[int]], list[int | Fraction], int]:
-    """K as a Fraction and :func:`_lp_rows` with 2^n K added to row 0's right-hand side.
-
-    Row 0 then reads sum_{i >= d} B_i = 2^n K - 1, so below K = 2^-n its
-    right-hand side is negative and it alone excludes K.
-    """
-    K = _lp_domain(n, K, d)
-    rows, rhs, nb = _lp_rows(n, d)
-    rhs[0] += (Fraction(2) ** n) * K
-    return K, rows, rhs, nb
+    return _EnumeratorLP(n, d, K, capped=False).excludes(y)
 
 
 def lp_feasible(n: int, K: Fraction | int, d: int) -> LPVerdict:
     """Decide the enumerator LP exactly; witness or dual certificate attached.
 
-    Below K = 2^-n no simplex runs (see :func:`_lp_verdict`).
+    Below K = 2^-n no simplex runs (see :meth:`_EnumeratorLP.verdict`).
     """
     from .simplex import solve_lp
 
-    K, rows, rhs, nb = _lp_system(n, K, d)
-    sol = solve_lp([0] * len(rows[0]), rows, rhs) if rhs[0] >= 0 else None
-    return _lp_verdict(n, K, d, nb, sol)
+    lp = _EnumeratorLP(n, d, K)
+    sol = solve_lp([0] * len(lp.rows[0]), lp.rows, lp.rhs) if lp.rhs[0] >= 0 else None
+    return lp.verdict(sol)
 
 
 def lp_critical_K(n: int, d: int) -> Fraction | None:
@@ -486,10 +469,9 @@ def lp_critical_K(n: int, d: int) -> Fraction | None:
     """
     from .simplex import solve_lp
 
-    rows, rhs, nb = _lp_rows(n, d)
+    lp = _EnumeratorLP(n, d)
     # without the K-dependent normalization row
-    cost = [-1] * nb + [0] * (len(rows[0]) - nb)
-    return _critical_K(n, d, nb, solve_lp(cost, rows[1:], rhs[1:]))
+    return lp.critical_K(solve_lp(lp.max_sum_B, lp.rows[1:], lp.rhs[1:]))
 
 
 def lp_feasible_and_critical_K(
@@ -507,12 +489,11 @@ def lp_feasible_and_critical_K(
     """
     from .simplex import solve_lp_then_free_row0
 
-    K, rows, rhs, nb = _lp_system(n, K, d)
-    if rhs[0] < 0:
-        return _lp_verdict(n, K, d, nb, None), lp_critical_K(n, d)
-    cost = [-1] * nb + [0] * (len(rows[0]) - nb)
-    feasibility, freed = solve_lp_then_free_row0(cost, rows, rhs)
-    return _lp_verdict(n, K, d, nb, feasibility), _critical_K(n, d, nb, freed)
+    lp = _EnumeratorLP(n, d, K)
+    if lp.rhs[0] < 0:
+        return lp.verdict(None), lp_critical_K(n, d)
+    feasibility, freed = solve_lp_then_free_row0(lp.max_sum_B, lp.rows, lp.rhs)
+    return lp.verdict(feasibility), lp.critical_K(freed)
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ def test_lp_witness_check_matches_fraction_reference():
         B.append(sum(b * p for b, p in zip(B, p1)) / n + (_small(rng) if broken == "A_1" else 0))
         K = sum(B) / F(2) ** n * (2 if broken == "A_0" else 1)
         faults, A = _witness_faults(n, K, d, B)
-        assert bounds._witness_A(n, K, d, B) == (None if faults else A)
+        assert bounds._EnumeratorLP(n, d, K).witness_A(K, B) == (None if faults else A)
         assert verify_lp_witness(n, K, d, B) == (not faults)
         if len(faults) < 2:
             alone.add(next(iter(faults), "none"))
@@ -361,7 +361,21 @@ def test_lp_certificate_check_matches_fraction_reference():
     assert alone == {"y >= 0 from d", "f <= 0 from d", "f(0) < y_0 2^n K"}
 
 
-@pytest.mark.parametrize("perturb", ["x", "objective"])
+# a wrong optimal x, a wrong objective, and objectives 1 and 2, which put the
+# critical K, (1 - objective) / 2^n, at or below 0
+PERTURBATIONS = ["x", "objective", "objective = 1", "objective = 2"]
+
+
+def _perturb(sol, perturb):
+    if perturb == "x":
+        sol.x[0] += 1
+    elif perturb == "objective":
+        sol.objective -= 1
+    else:
+        sol.objective = F(perturb.rpartition(" ")[2])
+
+
+@pytest.mark.parametrize("perturb", PERTURBATIONS)
 def test_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
     from qbounds import simplex
 
@@ -369,10 +383,7 @@ def test_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
 
     def perturbed(c, A, b):
         sol = solve(c, A, b)
-        if perturb == "x":
-            sol.x[0] += 1
-        else:
-            sol.objective -= 1
+        _perturb(sol, perturb)
         return sol
 
     monkeypatch.setattr(simplex, "solve_lp", perturbed)
@@ -380,7 +391,7 @@ def test_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
         lp_critical_K(7, 3)
 
 
-@pytest.mark.parametrize("perturb", ["x", "objective"])
+@pytest.mark.parametrize("perturb", PERTURBATIONS)
 def test_warm_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
     from qbounds import simplex
 
@@ -388,10 +399,7 @@ def test_warm_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
 
     def perturbed(c, A, b):
         feasibility, freed = solve(c, A, b)
-        if perturb == "x":
-            freed.x[0] += 1
-        else:
-            freed.objective -= 1
+        _perturb(freed, perturb)
         return feasibility, freed
 
     monkeypatch.setattr(simplex, "solve_lp_then_free_row0", perturbed)
@@ -401,7 +409,8 @@ def test_warm_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
 
 
 def test_lp_feasible_and_critical_K_agree_with_separate_solves():
-    """Exhaustive for n <= 12: one tableau gives what the two cold solves give."""
+    """Exhaustive for n <= 12: one tableau gives what the two cold solves give,
+    and the Fraction references find no fault in any witness or certificate."""
     for n in range(1, 13):
         for d in range(1, n + 1):
             critical = lp_critical_K(n, d)
@@ -409,7 +418,13 @@ def test_lp_feasible_and_critical_K_agree_with_separate_solves():
             if critical is not None:
                 Ks |= {critical, critical + F(1, 64), critical - F(1, 64), critical / 2}
             for K in sorted(K for K in Ks if K > 0):
-                assert lp_feasible_and_critical_K(n, K, d) == (lp_feasible(n, K, d), critical)
+                result = lp_feasible(n, K, d)
+                assert lp_feasible_and_critical_K(n, K, d) == (result, critical)
+                if result.feasible:
+                    faults, A = _witness_faults(n, K, d, result.witness_B)
+                    assert not faults and result.witness_A == tuple(A)
+                else:
+                    assert not _certificate_faults(n, K, d, result.certificate)
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (4, 3)])
@@ -419,7 +434,7 @@ def test_freed_normalization_row_pivots_on_its_own_column(monkeypatch, n, d):
     is freed that row must pivot on u or v; deleting it leaves u unbounded."""
     from qbounds import simplex
 
-    nv = len(bounds._lp_rows(n, d)[0][0])
+    nv = len(bounds._EnumeratorLP(n, d).rows[0])
     pivot, columns = simplex._Dictionary.pivot, []
 
     def recorded(dictionary, row, col):
@@ -436,9 +451,17 @@ def test_freed_normalization_row_pivots_on_its_own_column(monkeypatch, n, d):
     assert {nv, nv + 1} & set(columns[len(feasibility):])
 
 
-def test_lp_capacity_cap():
-    with pytest.raises(CapacityError):
-        lp_feasible(LP_SIZE_CAP + 1, 2, 3)
+def test_lp_capacity_cap(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a Krawtchouk table was built")
+
+    # the cap is checked before any table is built
+    monkeypatch.setattr(bounds, "krawtchouk_table", refuse)
+    n = LP_SIZE_CAP + 1
+    for solve in (lambda: lp_feasible(n, 2, 3), lambda: lp_critical_K(n, 3),
+                  lambda: lp_feasible_and_critical_K(n, 2, 3)):
+        with pytest.raises(CapacityError, match=f"n={n} exceeds the exact-LP cap"):
+            solve()
     with pytest.raises(ParameterError):
         lp_feasible(5, 0, 3)
 
@@ -459,8 +482,9 @@ OUT_OF_DOMAIN = [
 
 @pytest.mark.parametrize("n, K, d, message", OUT_OF_DOMAIN)
 def test_verifiers_refuse_what_lp_feasible_refuses(n, K, d, message):
-    with pytest.raises(ParameterError, match=re.escape(message)):
-        lp_feasible(n, K, d)
+    for solve in (lp_feasible, lp_feasible_and_critical_K):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            solve(n, K, d)
     one = (1,) + (0,) * n
     for verify, vector in [
         (verify_lp_witness, one),

@@ -523,20 +523,25 @@ def test_internal_error_exits_4_with_one_line(capsys, monkeypatch, error):
     assert err == "internal: identity failed\n"
 
 
+# objective - 1 is a wrong optimum; objectives 1 and 2 put the critical K,
+# (1 - objective) / 2^n, at or below 0
+WRONG_OBJECTIVES = (lambda v: v - 1, lambda v: F(1), lambda v: F(2))
+
+
 def test_wrong_critical_K_exits_4(capsys, monkeypatch):
     from qbounds import simplex
 
     solve = simplex.solve_lp
+    for wrong in WRONG_OBJECTIVES:
+        def perturbed(c, A, b, wrong=wrong):
+            sol = solve(c, A, b)
+            sol.objective = wrong(sol.objective)
+            return sol
 
-    def perturbed(c, A, b):
-        sol = solve(c, A, b)
-        sol.objective -= 1
-        return sol
-
-    monkeypatch.setattr(simplex, "solve_lp", perturbed)
-    code, out, err = run(capsys, "table", "--n-max", "3", "--d-max", "2", "--bounds", "lp")
-    assert (code, out) == (EXIT_INTERNAL, "")
-    assert err == "internal: simplex produced an invalid critical-K witness\n"
+        monkeypatch.setattr(simplex, "solve_lp", perturbed)
+        code, out, err = run(capsys, "table", "--n-max", "3", "--d-max", "2", "--bounds", "lp")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == "internal: simplex produced an invalid critical-K witness\n"
 
 
 @pytest.mark.parametrize("K", ["2", "5"], ids=["feasible", "infeasible"])
@@ -544,16 +549,16 @@ def test_lp_wrong_critical_K_exits_4(capsys, monkeypatch, K):
     from qbounds import simplex
 
     solve = simplex.solve_lp_then_free_row0
+    for wrong in WRONG_OBJECTIVES:
+        def perturbed(c, A, b, wrong=wrong):
+            feasibility, freed = solve(c, A, b)
+            freed.objective = wrong(freed.objective)
+            return feasibility, freed
 
-    def perturbed(c, A, b):
-        feasibility, freed = solve(c, A, b)
-        freed.objective -= 1
-        return feasibility, freed
-
-    monkeypatch.setattr(simplex, "solve_lp_then_free_row0", perturbed)
-    code, out, err = run(capsys, "lp", "--n", "7", "--K", K, "--d", "3")
-    assert (code, out) == (EXIT_INTERNAL, "")
-    assert err == "internal: simplex produced an invalid critical-K witness\n"
+        monkeypatch.setattr(simplex, "solve_lp_then_free_row0", perturbed)
+        code, out, err = run(capsys, "lp", "--n", "7", "--K", K, "--d", "3")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == "internal: simplex produced an invalid critical-K witness\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

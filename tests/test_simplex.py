@@ -275,9 +275,8 @@ def test_solvers_leave_enumerator_rows_unchanged():
     # the continuation inserts v's column into every dictionary row, never into A's
     for n in range(1, 11):
         for d in range(1, n + 1):
-            rows, rhs, nb = bounds._lp_rows(n, d)
-            rhs[0] += F(2) ** n * F(3, 2)
-            check_inputs_unchanged([-1] * nb + [0] * (len(rows[0]) - nb), rows, rhs)
+            lp = bounds._EnumeratorLP(n, d, F(3, 2))
+            check_inputs_unchanged(lp.max_sum_B, lp.rows, lp.rhs)
 
 
 def dictionary_states(solve, lp, store_all):
@@ -331,10 +330,10 @@ def test_hidden_columns_match_stored_columns(lp):
 def test_enumerator_surpluses_start_hidden(n):
     # every surplus has one nonzero, so phase 1 stores only the nb columns of B_d .. B_n
     for d in range(1, n + 1):
-        rows, rhs, nb = bounds._lp_rows(n, d)
-        dictionary = simplex._Dictionary.phase1_start(rows, rhs, len(rows[0]))
-        assert {len(row) for row in dictionary.rows} == {nb + 1}
-        assert sorted(dictionary.hidden) == list(range(nb, len(rows[0])))
+        lp = bounds._EnumeratorLP(n, d)
+        dictionary = simplex._Dictionary.phase1_start(lp.rows, lp.rhs, len(lp.rows[0]))
+        assert {len(row) for row in dictionary.rows} == {lp.nb + 1}
+        assert sorted(dictionary.hidden) == list(range(lp.nb, len(lp.rows[0])))
 
 
 def test_phase2_refuses_an_artificial_left_nonzero():

@@ -37,6 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import ParameterError, SolverError
@@ -46,14 +47,20 @@ TOL = 1e-9
 CURVE_IDS = ("A", "B", "D", "E", "hamming-degenerate", "fig2")
 
 
+@lru_cache(maxsize=8)
+def _logs(q: int) -> tuple[float, float]:
+    """(log q, log(q - 1)), computed once per alphabet size; a curve uses one or two."""
+    return math.log(q), math.log(q - 1)
+
+
 def entropy_q(x: float, q: int = 4) -> float:
     """q-ary entropy H_q(x) with H_q(0) = 0 and H_q(1) = log_q(q-1)."""
     if q < 2:
         raise ParameterError(f"alphabet size q must be >= 2, got {q}")
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"entropy argument {x} outside [0, 1]")
-    logq = math.log(q)
-    total = x * math.log(q - 1) / logq
+    logq, log_q1 = _logs(q)
+    total = x * log_q1 / logq
     if 0.0 < x:
         total -= x * math.log(x) / logq
     if x < 1.0:
@@ -227,20 +234,32 @@ def _standin_q(curve_id: str) -> int:
 
 def _stabilizer_constraint(
     curve_id: str, bound: ClassicalBound, kappa1: float
-) -> tuple[Callable[[float, float], float], float]:
-    """Constraint g(delta, lambda) <= 0 plus the lambda floor of its domain."""
+) -> tuple[Callable[[float], Callable[[float], float]], float]:
+    """Constraint delta -> (lambda -> g) with g <= 0, plus the lambda floor of its domain.
+
+    Built once per delta, the inner function keeps what does not depend on
+    lambda: A's classical term R(delta) is evaluated once, not at every
+    bisection step.  D and fig2 read R at a point that moves with lambda.
+    """
     if curve_id == "A":
-        return (lambda delta, lam: (1.0 + lam) / 2.0 - bound(delta)), 0.0
+        def at_a(delta: float) -> Callable[[float], float]:
+            rate = bound(delta)
+            return lambda lam: (1.0 + lam) / 2.0 - rate
+
+        return at_a, 0.0
     if curve_id == "D":
         return (
-            lambda delta, lam: 2.0 * lam / (1.0 + lam) - bound(delta / (1.0 + lam))
+            lambda delta: lambda lam: 2.0 * lam / (1.0 + lam) - bound(delta / (1.0 + lam))
         ), 0.0
     if curve_id == "fig2":
-        def g(delta: float, lam: float) -> float:
-            span = 1.0 + lam - kappa1
-            return (2.0 * lam - kappa1) / span - bound(2.0 * delta / span)
+        def at_fig2(delta: float) -> Callable[[float], float]:
+            def g(lam: float) -> float:
+                span = 1.0 + lam - kappa1
+                return (2.0 * lam - kappa1) / span - bound(2.0 * delta / span)
 
-        return g, kappa1 / 2.0
+            return g
+
+        return at_fig2, kappa1 / 2.0
     raise ParameterError(f"unknown stabilizer curve id {curve_id!r}")
 
 
@@ -263,12 +282,14 @@ def curve_stabilizer(
         curve_id, kappa1 = "fig2", 0.0
     if classical_bound is None:
         classical_bound = first_lp_bound(_standin_q(curve_id))
-    g, floor = _stabilizer_constraint(curve_id, classical_bound, kappa1)
+    constraint, floor = _stabilizer_constraint(curve_id, classical_bound, kappa1)
 
     def rate_at(delta: float) -> float:
         """Largest feasible lambda, or floor - 1 when even the floor is not."""
+        g = constraint(delta)
+
         def feasible(lam: float) -> bool:
-            return g(delta, lam) <= 0.0
+            return g(lam) <= 0.0
 
         if not feasible(floor):
             return floor - 1.0

@@ -58,8 +58,10 @@ CHECK_SIZE_CAP = 200
 # The full table at n-max 30 (every d, every bound but lp) takes about 3 s
 # on a 2-vCPU host.
 TABLE_SIZE_CAP = 30
-# 50,000 samples of the slowest curve (E, or fig2 near kappa1 = 1; 35-56 us a
-# sample) take 1.7-2.8 s on a 2-vCPU host.
+# 50,000 samples of the slowest curves (E, D, or fig2 near kappa1 = 1; 64-75 us
+# a sample) take 3.2-3.7 s on a 2-vCPU host whose CPU runs the benchmark's
+# calibration kernel about 1.7 times slower than its reference; A, which
+# evaluates its classical bound once per sample, takes 0.7-0.8 s.
 CURVE_SAMPLES_CAP = 50_000
 # K's numerator and denominator take at most 4096 bits, from LP_SIZE_CAP's
 # budget of about 0.4 s: only the LP's right-hand side carries K's
@@ -318,9 +320,12 @@ def cmd_curves(args: argparse.Namespace) -> int:
         raise CapacityError(
             f"samples={args.samples} exceeds the curves cap {CURVE_SAMPLES_CAP}"
         )
+    if args.kappa1 is not None and args.id != "fig2":
+        raise ParameterError("curves: --kappa1 needs --id fig2")
     from .asymptotic import generate_curve
 
-    points, meta = generate_curve(args.id, args.samples, args.kappa1, args.classical_bound)
+    kappa1 = 0.0 if args.kappa1 is None else args.kappa1
+    points, meta = generate_curve(args.id, args.samples, kappa1, args.classical_bound)
     for line in meta:
         print(f"# {line}")
     if args.meta:
@@ -392,7 +397,7 @@ def _curves_arguments(p: argparse.ArgumentParser) -> None:
     from .asymptotic import CURVE_IDS
 
     p.add_argument("--id", required=True, choices=CURVE_IDS)
-    p.add_argument("--kappa1", type=float, default=0.0)
+    p.add_argument("--kappa1", type=float, help="fig2 only; default 0")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--classical-bound", help="delta,rate CSV replacing the built-in")
     p.add_argument("--meta", action="store_true")

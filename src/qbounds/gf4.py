@@ -227,6 +227,20 @@ class AdditiveCode:
         return standard_form(self)
 
 
+def _basis_code(n: int, rows: Iterable[int]) -> AdditiveCode:
+    """The code spanned by ``rows``, independent and of length n by construction.
+
+    For bases the package builds itself (a reduced echelon basis, or one
+    restricted to columns where its rows hold all their bits), the
+    constructor's checks, its rank re-check above all, would only repeat
+    what the construction guarantees; every other input goes through them.
+    """
+    code = object.__new__(AdditiveCode)
+    object.__setattr__(code, "n", n)
+    object.__setattr__(code, "generators", tuple(rows))
+    return code
+
+
 # ---------------------------------------------------------------------------
 # parsing and formatting
 # ---------------------------------------------------------------------------
@@ -301,7 +315,7 @@ def symplectic_dual(code: AdditiveCode) -> AdditiveCode:
     basis = gf2_echelon(gf2_nullspace(swapped, 2 * code.n))
     if len(basis) != 2 * code.n - code.rank:
         raise InvariantError("dual rank mismatch")
-    return AdditiveCode(code.n, tuple(basis))
+    return _basis_code(code.n, basis)
 
 
 @dataclass(frozen=True)
@@ -345,13 +359,13 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
     low block's X and Z halves.  At ``ENUMERATION_CAP`` the three lists
     (low X halves, low Z halves, high words) hold at most 3 * 2^13 ints.
     """
-    _require_enumerable(code.rank)
-    n, half = code.n, (code.rank + 1) // 2
-    low = [split_halves(g, n) for g in code.generators[:half]]
-    low_a = _span_list([a for a, _ in low])
-    low_b = _span_list([b for _, b in low])
+    gens, n = code.generators, code.n
+    _require_enumerable(len(gens))
+    low, mask = gens[: (len(gens) + 1) // 2], (1 << n) - 1
+    low_a = _span_list([g & mask for g in low])
+    low_b = _span_list([g >> n for g in low])
     counts: Counter[int] = Counter()
-    for h in _span_list(code.generators[half:]):
+    for h in _span_list(gens[len(low):]):
         h_a, h_b = split_halves(h, n)
         counts.update(
             map(
@@ -359,7 +373,7 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
                 map(or_, map(xor, low_a, repeat(h_a)), map(xor, low_b, repeat(h_b))),
             )
         )
-    return tuple(counts[i] for i in range(n + 1))
+    return tuple(map(counts.__getitem__, range(n + 1)))
 
 
 def _first_nonzero_weight(distribution: Sequence[int]) -> int | None:
@@ -575,8 +589,9 @@ def complementary_code(code: AdditiveCode) -> ComplementaryCode | None:
         raise InvariantError("complement row keeps a pivot bit of C")
     if gf2_rank(list(code.generators) + reduced) != n + k:
         raise InvariantError("complement stacked with C does not span the dual")
-    punctured = AdditiveCode(n - k0, tuple(_restrict(v, cols[k0:], n) for v in reduced))
-    return ComplementaryCode(AdditiveCode(n, tuple(reduced)), punctured, k0, sf.k1)
+    # the rows are 0 at the pair-pivot columns, so restriction keeps them independent
+    punctured = _basis_code(n - k0, (_restrict(v, cols[k0:], n) for v in reduced))
+    return ComplementaryCode(_basis_code(n, reduced), punctured, k0, sf.k1)
 
 
 def min_nonzero_weight(code: AdditiveCode) -> int:
@@ -646,7 +661,7 @@ def _restricted_free_subcode(comp: ComplementaryCode) -> AdditiveCode | None:
     restricted = ((1 << k1) - 1) * ((1 << m) + 1)  # X and Z bits of columns 0 .. k1 - 1
     basis = _rref(rows, lambda r: _lowest_bit(r & restricted or r))
     tail = [_restrict(r, range(k1, m), m) for r in basis.values() if not r & restricted]
-    return AdditiveCode(m - k1, tuple(tail)) if tail else None
+    return _basis_code(m - k1, tail) if tail else None
 
 
 def reduction_witnesses(code: AdditiveCode) -> list[ReductionWitness]:
@@ -714,7 +729,7 @@ def binary_s_code(code: AdditiveCode) -> BinarySCode | None:
     if gf2_rank(rows) != 2 * k:
         raise InvariantError("binary reduction rows are dependent")
     # the rows fill only the X half, where symplectic weight is Hamming weight
-    distance = min_nonzero_weight(AdditiveCode(n + k, tuple(rows)))
+    distance = min_nonzero_weight(_basis_code(n + k, rows))
     return BinarySCode(length=n + k, dimension=2 * k, rows=tuple(rows), distance=distance)
 
 

@@ -162,7 +162,8 @@ def check_mixed_ball_oracle(max_len: int = 3, max_l: int = 2) -> Check:
 
             words = [word(v) for v in range(1 << ambient)]
             for rows in _all_subspace_bases(ambient):
-                code = gf4.AdditiveCode(n, tuple(words[v] for v in rows))
+                # a reduced echelon basis under the bit map word(): independent
+                code = gf4._basis_code(n, [words[v] for v in rows])
                 d = gf4.min_nonzero_weight(code)
                 total += 1
                 if not bounds.mixed_hamming_check(l, n, code.rank, d).passed:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qbounds import asymptotic
 from qbounds.asymptotic import (
     curve_hamming_degenerate,
     curve_nondeg_general,
@@ -26,6 +27,33 @@ def test_entropy_endpoints():
     assert entropy_q(0.75, 4) == pytest.approx(1.0, abs=1e-12)
     assert entropy_q(0.5, 2) == pytest.approx(1.0, abs=1e-12)
     assert entropy_q(1.0, 4) == pytest.approx(math.log(3) / math.log(4), abs=1e-12)
+
+
+def _entropy_uncached(x, q):
+    """H_q(x) with both logarithms taken on every call, in entropy_q's float order."""
+    logq = math.log(q)
+    total = x * math.log(q - 1) / logq
+    if 0.0 < x:
+        total -= x * math.log(x) / logq
+    if x < 1.0:
+        total -= (1.0 - x) * math.log(1.0 - x) / logq
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_entropy_matches_uncached_formula_bit_for_bit(q):
+    grid = [i / 1000 for i in range(1001)] + [1e-300, 0.75, 1.0 - 1e-16]
+    assert [entropy_q(x, q) for x in grid] == [_entropy_uncached(x, q) for x in grid]
+
+
+def test_entropy_log_cache_is_bounded():
+    info = asymptotic._logs.cache_info()
+    assert info.maxsize is not None
+    for q in range(2, 4 * info.maxsize):
+        assert entropy_q(0.3, q) == _entropy_uncached(0.3, q)
+    assert asymptotic._logs.cache_info().currsize <= info.maxsize
+    # an evicted q is computed again to the same bits
+    assert entropy_q(0.3, 2) == _entropy_uncached(0.3, 2)
 
 
 def test_gamma_endpoints():
@@ -87,6 +115,61 @@ def test_curve_a_endpoint_matches_composed_solve():
     points = curve_stabilizer("A", samples=200)
     assert points[-1].rate == pytest.approx(0.0, abs=1e-6)
     assert points[-1].delta == pytest.approx(0.31610, abs=TOL)
+
+
+def _curve_a_per_step(bound, samples):
+    """Curve A with R(delta) evaluated at every bisection step, as a reference."""
+    def rate_at(delta):
+        def feasible(lam):
+            return (1.0 + lam) / 2.0 - bound(delta) <= 0.0
+
+        if not feasible(0.0):
+            return -1.0
+        if feasible(1.0):
+            return 1.0
+        return asymptotic._bisect(feasible, 0.0, 1.0)[0]
+
+    def clears(delta):
+        return rate_at(delta) > asymptotic.TOL
+
+    delta_end = 1.0 if clears(1.0) else asymptotic._bisect(clears, 0.0, 1.0)[0]
+    points = []
+    for delta in asymptotic._grid(0.0, delta_end, samples):
+        rate = rate_at(delta)
+        if rate >= 0.0:
+            points.append(asymptotic.CurvePoint(delta, min(1.0, rate)))
+    return points
+
+
+@pytest.mark.parametrize("csv", [False, True])
+def test_curve_a_per_delta_constraint_matches_per_step(tmp_path, csv):
+    if csv:
+        table = tmp_path / "classical.csv"
+        table.write_text(
+            "delta,rate\n0.0,1.0\n0.1,0.72\n0.2,0.45\n0.3,0.21\n0.45,0.04\n0.6,0.0\n",
+            encoding="utf-8",
+        )
+        bound = load_classical_bound_csv(str(table))
+    else:
+        bound = first_lp_bound(4)
+    calls = []
+
+    def counted(delta):
+        calls.append(delta)
+        return bound(delta)
+
+    for samples in (2, 17, 333):
+        calls.clear()
+        assert curve_stabilizer("A", counted, samples=samples) == _curve_a_per_step(bound, samples)
+        # once per sample and once per end-of-support probe: 31 probes on [0, 1]
+        assert len(calls) <= samples + 31
+    constraint, floor = asymptotic._stabilizer_constraint("A", bound, 0.0)
+    for i in range(101):
+        delta = i / 100
+        g = constraint(delta)
+        for lam in (0.0, 0.25, 0.5, 1.0):
+            assert g(lam) == (1.0 + lam) / 2.0 - bound(delta)
+    assert floor == 0.0
 
 
 def test_fig2_zero_kappa_collapses_to_curve_e():

@@ -196,7 +196,7 @@ FAILURES = [
      "error: table: n-max must be positive, got 0"),
     (("table", "--n-max", "4", "--d-max", "-2", "--bounds", "singleton"), 2,
      "error: table: d-max must be positive, got -2"),
-    # K and the degenerate Hamming counts
+    # K, the degenerate Hamming counts and kappa1
     (("check", "--n", "5", "--K", "-1", "--d", "3"), 2, "error: K must be positive, got -1"),
     (("lp", "--n", "5", "--K", "0", "--d", "3"), 2, "error: K must be positive, got 0"),
     (CHECK_5 + ("--k", "1", "--bounds", "degenerate_hamming"), 2,
@@ -207,6 +207,8 @@ FAILURES = [
      "error: check: --k0 and --k1 need degenerate_hamming in --bounds"),
     (CHECK_5 + ("--k", "1", "--k1", "0", "--bounds", "singleton,lp"), 2,
      "error: check: --k0 and --k1 need degenerate_hamming in --bounds"),
+    (("curves", "--id", "B", "--kappa1", "5"), 2, "error: curves: --kappa1 needs --id fig2"),
+    (("curves", "--id", "E", "--kappa1", "0.3"), 2, "error: curves: --kappa1 needs --id fig2"),
     # code files
     (("analyze", "missing.code"), 2, "error: analyze: [Errno 2] No such file or directory"),
     (("analyze", "latin1.code"), 2, "error: analyze: latin1.code: not UTF-8"),
@@ -668,6 +670,12 @@ def test_curves_fig2_zero_matches_curve_e(capsys):
     data_e = [r for r in out_e.splitlines() if not r.startswith("#")]
     data_f = [r for r in out_f.splitlines() if not r.startswith("#")]
     assert data_e == data_f
+
+
+def test_curves_fig2_kappa1_defaults_to_zero(capsys):
+    _, out_default, _ = run(capsys, "curves", "--id", "fig2", "--samples", "17")
+    _, out_zero, _ = run(capsys, "curves", "--id", "fig2", "--kappa1", "0", "--samples", "17")
+    assert out_default == out_zero and "# kappa1: 0.0\n" in out_default
 
 
 @pytest.mark.parametrize("classical", [False, True])

@@ -48,9 +48,29 @@ CURVE_IDS = ("A", "B", "D", "E", "hamming-degenerate", "fig2")
 
 
 @lru_cache(maxsize=8)
-def _logs(q: int) -> tuple[float, float]:
-    """(log q, log(q - 1)), computed once per alphabet size; a curve uses one or two."""
-    return math.log(q), math.log(q - 1)
+def _kernels(q: int) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """Unchecked (H_q, gamma_q) for one alphabet size; a curve uses one or two.
+
+    log q, log(q - 1), q - 1 and q - 2 are bound once per q.  Neither
+    function checks its argument: ``entropy_q`` and ``gamma_q`` check it
+    and call these, and the curve loops call them only inside [0, 1].
+    """
+    logq, log_q1 = math.log(q), math.log(q - 1)
+    q1, q2 = q - 1, q - 2
+    log, sqrt = math.log, math.sqrt
+
+    def entropy(x: float) -> float:
+        total = x * log_q1 / logq
+        if 0.0 < x:
+            total -= x * log(x) / logq
+        if x < 1.0:
+            total -= (1.0 - x) * log(1.0 - x) / logq
+        return total
+
+    def gamma(x: float) -> float:
+        return (q1 - q2 * x - 2.0 * sqrt(q1 * x * (1.0 - x))) / q
+
+    return entropy, gamma
 
 
 def entropy_q(x: float, q: int = 4) -> float:
@@ -59,13 +79,7 @@ def entropy_q(x: float, q: int = 4) -> float:
         raise ParameterError(f"alphabet size q must be >= 2, got {q}")
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"entropy argument {x} outside [0, 1]")
-    logq, log_q1 = _logs(q)
-    total = x * log_q1 / logq
-    if 0.0 < x:
-        total -= x * math.log(x) / logq
-    if x < 1.0:
-        total -= (1.0 - x) * math.log(1.0 - x) / logq
-    return total
+    return _kernels(q)[0](x)
 
 
 def gamma_q(x: float, q: int = 4) -> float:
@@ -74,7 +88,7 @@ def gamma_q(x: float, q: int = 4) -> float:
         raise ParameterError(f"alphabet size q must be >= 2, got {q}")
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"gamma argument {x} outside [0, 1]")
-    return (q - 1 - (q - 2) * x - 2.0 * math.sqrt((q - 1) * x * (1.0 - x))) / q
+    return _kernels(q)[1](x)
 
 
 def _bisect(pred: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
@@ -117,14 +131,19 @@ ClassicalBound = Callable[[float], float]
 
 def first_lp_bound(q: int = 4) -> ClassicalBound:
     """R(delta) = H_q(gamma_q(delta)), rate 0 beyond delta = (q-1)/q."""
+    if q < 2:
+        raise ParameterError(f"alphabet size q must be >= 2, got {q}")
     top = (q - 1) / q
+    entropy, gamma = _kernels(q)
 
     def bound(delta: float) -> float:
         if delta <= 0.0:
             return 1.0
         if delta >= top:
             return 0.0
-        return entropy_q(gamma_q(delta, q), q)
+        # 0 < delta < top <= 1; gamma(delta) lies in [0, top] up to rounding,
+        # which for q = 3 and q >= 5 can leave it a few ulps below 0 near top
+        return entropy(gamma(delta))
 
     return bound
 
@@ -217,12 +236,13 @@ def curve_nondeg_general(samples: int = 200) -> list[CurvePoint]:
     delta = 0 and lambda = 0 at delta = gamma4(x*) with H4(x*) = 1/2,
     delta ~ 0.3161.
     """
-    x_star = solve_monotone(lambda x: entropy_q(x, 4), 0.5, 1e-12, 0.75)
-    delta_end = gamma_q(x_star, 4)
+    entropy, gamma = _kernels(4)  # every argument lies in [0, 0.75]
+    x_star = solve_monotone(entropy, 0.5, 1e-12, 0.75)
+    delta_end = gamma(x_star)
     points = []
     for delta in _grid(0.0, delta_end, samples):
-        x = solve_monotone(lambda t: gamma_q(t, 4), delta, 0.0, 0.75)
-        rate = 2.0 * entropy_q(x, 4) - 1.0
+        x = solve_monotone(gamma, delta, 0.0, 0.75)
+        rate = 2.0 * entropy(x) - 1.0
         points.append(CurvePoint(delta, min(1.0, max(0.0, rate))))
     return points
 
@@ -234,33 +254,43 @@ def _standin_q(curve_id: str) -> int:
 
 def _stabilizer_constraint(
     curve_id: str, bound: ClassicalBound, kappa1: float
-) -> tuple[Callable[[float], Callable[[float], float]], float]:
-    """Constraint delta -> (lambda -> g) with g <= 0, plus the lambda floor of its domain.
+) -> tuple[Callable[[float], Callable[[float], bool]], float]:
+    """Feasibility delta -> (lambda -> g <= 0), plus the lambda floor of its domain.
 
-    Built once per delta, the inner function keeps what does not depend on
+    Built once per delta, the inner predicate keeps what does not depend on
     lambda: A's classical term R(delta) is evaluated once, not at every
     bisection step.  D and fig2 read R at a point that moves with lambda.
     """
     if curve_id == "A":
-        def at_a(delta: float) -> Callable[[float], float]:
+        def at_a(delta: float) -> Callable[[float], bool]:
             rate = bound(delta)
-            return lambda lam: (1.0 + lam) / 2.0 - rate
+            return lambda lam: (1.0 + lam) / 2.0 - rate <= 0.0
 
         return at_a, 0.0
     if curve_id == "D":
-        return (
-            lambda delta: lambda lam: 2.0 * lam / (1.0 + lam) - bound(delta / (1.0 + lam))
-        ), 0.0
-    if curve_id == "fig2":
-        def at_fig2(delta: float) -> Callable[[float], float]:
-            def g(lam: float) -> float:
-                span = 1.0 + lam - kappa1
-                return (2.0 * lam - kappa1) / span - bound(2.0 * delta / span)
+        def at_d(delta: float) -> Callable[[float], bool]:
+            return lambda lam: 2.0 * lam / (1.0 + lam) - bound(delta / (1.0 + lam)) <= 0.0
 
-            return g
+        return at_d, 0.0
+    if curve_id == "fig2":
+        def at_fig2(delta: float) -> Callable[[float], bool]:
+            def feasible(lam: float) -> bool:
+                span = 1.0 + lam - kappa1
+                return (2.0 * lam - kappa1) / span - bound(2.0 * delta / span) <= 0.0
+
+            return feasible
 
         return at_fig2, kappa1 / 2.0
     raise ParameterError(f"unknown stabilizer curve id {curve_id!r}")
+
+
+def _check_kappa1(curve_id: str, kappa1: float) -> None:
+    """kappa1 in [0, 1] for fig2; every other id draws kappa1 = 0 only."""
+    if curve_id == "fig2":
+        if not 0.0 <= kappa1 <= 1.0:
+            raise ParameterError(f"kappa1 must lie in [0, 1], got {kappa1}")
+    elif kappa1 != 0.0:
+        raise ParameterError(f"kappa1 applies to fig2 only, got {kappa1} for curve {curve_id!r}")
 
 
 def curve_stabilizer(
@@ -274,10 +304,10 @@ def curve_stabilizer(
     Each delta sample is solved independently by bisection on the upper
     boundary of the feasible lambdas in [floor, 1]; the delta range ends
     where the feasible rate meets the domain floor (0, or kappa1/2 for the
-    fig2 family, where the parameterized reduction stops applying).
+    fig2 family, where the parameterized reduction stops applying).  Any id
+    but fig2 refuses a nonzero kappa1.
     """
-    if curve_id == "fig2" and not 0.0 <= kappa1 <= 1.0:
-        raise ParameterError(f"kappa1 must lie in [0, 1], got {kappa1}")
+    _check_kappa1(curve_id, kappa1)
     if curve_id == "E":  # x - 0.0 == x: fig2's constraint and floor are E's, bit for bit
         curve_id, kappa1 = "fig2", 0.0
     if classical_bound is None:
@@ -286,11 +316,7 @@ def curve_stabilizer(
 
     def rate_at(delta: float) -> float:
         """Largest feasible lambda, or floor - 1 when even the floor is not."""
-        g = constraint(delta)
-
-        def feasible(lam: float) -> bool:
-            return g(lam) <= 0.0
-
+        feasible = constraint(delta)
         if not feasible(floor):
             return floor - 1.0
         if feasible(1.0):
@@ -317,10 +343,11 @@ def curve_hamming_degenerate(samples: int = 200) -> list[CurvePoint]:
     mu = delta / (1 + lambda) as printed in the source inequality.  Solved
     per sample by bisection of the fixed-point residual.
     """
+    entropy = _kernels(4)[0]
 
     def residual(delta: float, lam: float) -> float:
-        mu = min(1.0, delta / (1.0 + lam))
-        h = entropy_q(mu, 4)
+        mu = min(1.0, delta / (1.0 + lam))  # delta, lam >= 0
+        h = entropy(mu)
         return lam - (1.0 - h) / (1.0 + h)
 
     points = []
@@ -349,11 +376,13 @@ def generate_curve(
     ``classical_csv`` names a 'delta,rate' table that replaces the built-in
     classical bound, and the metadata names it by that path.  It is read,
     and any defect raised, for every id, also for B and hamming-degenerate,
-    which consume no classical bound.
+    which consume no classical bound.  ``kappa1`` must be 0 for every id
+    but fig2.
     """
     if curve_id not in CURVE_IDS:
         raise ParameterError(f"unknown curve id {curve_id!r}")
     classical = load_classical_bound_csv(classical_csv) if classical_csv is not None else None
+    _check_kappa1(curve_id, kappa1)
     meta = [f"curve: {curve_id}", f"samples: {samples}"]
     if curve_id == "B":
         points = curve_nondeg_general(samples)

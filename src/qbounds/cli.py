@@ -58,10 +58,10 @@ CHECK_SIZE_CAP = 200
 # The full table at n-max 30 (every d, every bound but lp) takes about 3 s
 # on a 2-vCPU host.
 TABLE_SIZE_CAP = 30
-# 50,000 samples of the slowest curves (E, D, or fig2 near kappa1 = 1; 64-75 us
-# a sample) take 3.2-3.7 s on a 2-vCPU host whose CPU runs the benchmark's
+# 50,000 samples of the slowest curves (E, D, or fig2 near kappa1 = 1; 37-51 us
+# a sample) take 1.9-2.5 s on a 2-vCPU host whose CPU runs the benchmark's
 # calibration kernel about 1.7 times slower than its reference; A, which
-# evaluates its classical bound once per sample, takes 0.7-0.8 s.
+# evaluates its classical bound once per sample, takes 0.5-0.6 s.
 CURVE_SAMPLES_CAP = 50_000
 # K's numerator and denominator take at most 4096 bits, from LP_SIZE_CAP's
 # budget of about 0.4 s: only the LP's right-hand side carries K's
@@ -330,9 +330,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         print(f"# {line}")
     if args.meta:
         print(f"# tool: qbounds {__version__}")
-    print("delta,rate")
-    for p in points:
-        print(f"{p.delta:.9f},{p.rate:.9f}")
+    sys.stdout.write("delta,rate\n" + "".join(f"{p.delta:.9f},{p.rate:.9f}\n" for p in points))
     return EXIT_OK
 
 

@@ -148,9 +148,13 @@ def check_mixed_ball_oracle(max_len: int = 3, max_l: int = 2) -> Check:
     coordinate (symbol w or 0), then two bits per free coordinate.  As a
     length-n word, restricted bit i is the Z bit of coordinate i, and the
     two bits of free coordinate j are the X and Z bits of coordinate l + j.
+    Every code is judged by ``bounds.mixed_hamming_check`` on its own
+    (l, n, rank, d); that verdict depends on nothing else, so it is taken
+    once per distinct key and reused.
     """
     bad = 0
     total = 0
+    passes: dict[tuple[int, int, int, int], bool] = {}
     for n in range(1, max_len + 1):
         for l in range(0, min(max_l, n) + 1):
             ambient = l + 2 * (n - l)
@@ -166,7 +170,10 @@ def check_mixed_ball_oracle(max_len: int = 3, max_l: int = 2) -> Check:
                 code = gf4._basis_code(n, [words[v] for v in rows])
                 d = gf4.min_nonzero_weight(code)
                 total += 1
-                if not bounds.mixed_hamming_check(l, n, code.rank, d).passed:
+                key = (l, n, code.rank, d)
+                if key not in passes:
+                    passes[key] = bounds.mixed_hamming_check(*key).passed
+                if not passes[key]:
                     bad += 1
     return (
         "mixed-ball-oracle",

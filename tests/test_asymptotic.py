@@ -46,14 +46,43 @@ def test_entropy_matches_uncached_formula_bit_for_bit(q):
     assert [entropy_q(x, q) for x in grid] == [_entropy_uncached(x, q) for x in grid]
 
 
+def _gamma_uncached(x, q):
+    """gamma_q(x) with q - 1 and q - 2 formed on every call, in gamma_q's float order."""
+    return (q - 1 - (q - 2) * x - 2.0 * math.sqrt((q - 1) * x * (1.0 - x))) / q
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_gamma_matches_uncached_formula_bit_for_bit(q):
+    grid = [i / 1000 for i in range(1001)] + [1e-300, 0.75, 1.0 - 1e-16]
+    assert [gamma_q(x, q) for x in grid] == [_gamma_uncached(x, q) for x in grid]
+
+
 def test_entropy_log_cache_is_bounded():
-    info = asymptotic._logs.cache_info()
+    info = asymptotic._kernels.cache_info()
     assert info.maxsize is not None
     for q in range(2, 4 * info.maxsize):
         assert entropy_q(0.3, q) == _entropy_uncached(0.3, q)
-    assert asymptotic._logs.cache_info().currsize <= info.maxsize
+        assert gamma_q(0.3, q) == _gamma_uncached(0.3, q)
+    assert asymptotic._kernels.cache_info().currsize <= info.maxsize
     # an evicted q is computed again to the same bits
     assert entropy_q(0.3, 2) == _entropy_uncached(0.3, 2)
+    assert gamma_q(0.3, 2) == _gamma_uncached(0.3, 2)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_first_lp_bound_is_entropy_of_gamma(q):
+    bound = first_lp_bound(q)
+    top = (q - 1) / q
+    for i in range(1001):
+        delta = i / 1000
+        if delta <= 0.0:
+            assert bound(delta) == 1.0
+        elif delta >= top:
+            assert bound(delta) == 0.0
+        else:
+            assert bound(delta) == entropy_q(gamma_q(delta, q), q)
+    with pytest.raises(ParameterError):
+        first_lp_bound(1)
 
 
 def test_gamma_endpoints():
@@ -166,10 +195,53 @@ def test_curve_a_per_delta_constraint_matches_per_step(tmp_path, csv):
     constraint, floor = asymptotic._stabilizer_constraint("A", bound, 0.0)
     for i in range(101):
         delta = i / 100
-        g = constraint(delta)
+        feasible = constraint(delta)
         for lam in (0.0, 0.25, 0.5, 1.0):
-            assert g(lam) == (1.0 + lam) / 2.0 - bound(delta)
+            assert feasible(lam) is ((1.0 + lam) / 2.0 - bound(delta) <= 0.0)
     assert floor == 0.0
+
+
+def test_kernels_see_only_their_domain(monkeypatch, tmp_path):
+    """The unchecked kernels get arguments in [0, 1] on every curve."""
+    kernels = asymptotic._kernels
+    seen = {"entropy": [], "gamma": []}
+
+    def recording(q):
+        def wrap(name, fn):
+            def recorded(x):
+                seen[name].append(x)
+                return fn(x)
+
+            return recorded
+
+        entropy, gamma = kernels(q)
+        return wrap("entropy", entropy), wrap("gamma", gamma)
+
+    monkeypatch.setattr(asymptotic, "_kernels", recording)
+    table = tmp_path / "classical.csv"
+    table.write_text("delta,rate\n0.0,1.0\n0.2,0.45\n0.6,0.0\n", encoding="utf-8")
+    for curve_id in asymptotic.CURVE_IDS:
+        for kappa1 in (0.0, 0.4, 1.0) if curve_id == "fig2" else (0.0,):
+            for csv in (None, str(table)):
+                points, _ = generate_curve(curve_id, 65, kappa1, csv)
+                assert points
+    assert seen["entropy"] and seen["gamma"]
+    assert all(0.0 <= x <= 1.0 for xs in seen.values() for x in xs)
+
+
+@pytest.mark.parametrize("curve_id", ["E", "A", "D", "B", "hamming-degenerate"])
+def test_nonzero_kappa1_is_refused_outside_fig2(curve_id):
+    with pytest.raises(ParameterError, match="fig2 only"):
+        generate_curve(curve_id, 17, 0.3)
+    with pytest.raises(ParameterError, match="fig2 only"):
+        generate_curve(curve_id, 17, 0.7)
+    if curve_id in ("E", "A", "D"):
+        with pytest.raises(ParameterError, match="fig2 only"):
+            curve_stabilizer(curve_id, kappa1=0.3, samples=17)
+        assert curve_stabilizer(curve_id, kappa1=0.0, samples=17) == curve_stabilizer(
+            curve_id, samples=17
+        )
+    assert generate_curve(curve_id, 17, 0.0) == generate_curve(curve_id, 17)
 
 
 def test_fig2_zero_kappa_collapses_to_curve_e():

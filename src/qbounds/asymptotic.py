@@ -142,8 +142,12 @@ def first_lp_bound(q: int = 4) -> ClassicalBound:
         if delta >= top:
             return 0.0
         # 0 < delta < top <= 1; gamma(delta) lies in [0, top] up to rounding,
-        # which for q = 3 and q >= 5 can leave it a few ulps below 0 near top
-        return entropy(gamma(delta))
+        # which for q = 3 and q >= 5 can leave it a few ulps below 0 near
+        # top, where the rate is 0 as at entropy(0.0)
+        g = gamma(delta)
+        if g <= 0.0:
+            return 0.0
+        return entropy(g)
 
     return bound
 

@@ -85,6 +85,16 @@ def test_first_lp_bound_is_entropy_of_gamma(q):
         first_lp_bound(1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_first_lp_bound_is_never_negative_below_its_end(q):
+    """Rounding leaves gamma a few ulps below 0 just under (q-1)/q for q = 3 and 5."""
+    bound = first_lp_bound(q)
+    delta = (q - 1) / q
+    for _ in range(10_000):
+        delta = math.nextafter(delta, 0.0)
+        assert bound(delta) >= 0.0, delta
+
+
 def test_gamma_endpoints():
     assert gamma_q(0.0, 4) == pytest.approx(0.75, abs=1e-12)
     assert gamma_q(0.75, 4) == pytest.approx(0.0, abs=1e-12)

@@ -5,16 +5,26 @@ independent of the bitmask representation used by the library.
 """
 
 import itertools
+import os
 import random
+import threading
+import time
 from fractions import Fraction as F
 
 import pytest
 
 import gf4_oracle
 from qbounds import cli, gf4
-from qbounds.errors import CapacityError, ParameterError, ParseError, StructureError
+from qbounds.errors import (
+    CapacityError,
+    InvariantError,
+    ParameterError,
+    ParseError,
+    StructureError,
+)
 from qbounds.gf4 import (
     ENUMERATION_CAP,
+    PARALLEL_RANK,
     AdditiveCode,
     _restricted_free_subcode,
     binary_s_code,
@@ -289,6 +299,205 @@ def test_weight_distribution_matches_word_loop():
     for count in (weight_distribution, gf4_oracle.weight_distribution):
         with pytest.raises(CapacityError, match="^rank 27 exceeds enumeration cap 26$"):
             count(over)
+
+
+# ---------------------------------------------------------------------------
+# the count split across forked processes
+# ---------------------------------------------------------------------------
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fake_cpus(monkeypatch, cpus):
+    assert cpus <= 4  # a test never starts more processes than this
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _counted_forks(monkeypatch):
+    """Replace os.fork with a wrapper that records each call made in this process."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _serial(code, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(gf4, "PARALLEL_RANK", ENUMERATION_CAP + 1)
+        return weight_distribution(code)
+
+
+def test_split_count_matches_oracle_and_serial_count(monkeypatch):
+    rng = random.Random(1729)
+    forks = _counted_forks(monkeypatch)
+    for rank in range(PARALLEL_RANK - 2, 21):
+        for n in (rank // 2 + 1, rank // 2 + 2):  # one odd and one even length
+            code = _random_code(n, rank, rng)
+            expected = gf4_oracle.weight_distribution(code)
+            assert _serial(code, monkeypatch) == expected
+            _assert_no_child_left()
+            for cpus in (2, 3):
+                _fake_cpus(monkeypatch, cpus)
+                # below the threshold, the split is forced by lowering it
+                monkeypatch.setattr(gf4, "PARALLEL_RANK", min(rank, PARALLEL_RANK))
+                del forks[:]
+                assert weight_distribution(code) == expected, (rank, n, cpus)
+                assert len(forks) == cpus - 1
+                _assert_no_child_left()
+
+
+def test_count_processes_threshold_and_cpu_count(monkeypatch):
+    _fake_cpus(monkeypatch, 4)
+    assert gf4._count_processes(PARALLEL_RANK - 1) == 1
+    assert gf4._count_processes(PARALLEL_RANK) == 4
+    _fake_cpus(monkeypatch, 1)
+    assert gf4._count_processes(ENUMERATION_CAP) == 1
+    # without an affinity mask, the CPU count stands in
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert gf4._available_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert gf4._available_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(os, "fork")
+    assert gf4._count_processes(ENUMERATION_CAP) == 1
+
+
+def test_split_count_never_exceeds_the_shares(monkeypatch):
+    _fake_cpus(monkeypatch, 4)
+    monkeypatch.setattr(gf4, "PARALLEL_RANK", 0)
+    forks = _counted_forks(monkeypatch)
+    rng = random.Random(5)
+    for rank, processes in ((0, 1), (1, 1), (2, 2), (3, 2), (4, 4), (5, 4)):
+        code = _random_code(4, rank, rng)
+        del forks[:]
+        assert weight_distribution(code) == gf4_oracle.weight_distribution(code)
+        assert len(forks) == processes - 1
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["pipe", "fork"])
+def test_split_count_survives_a_failed_fork(monkeypatch, failing):
+    def refuse(*args):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    code = _random_code(9, PARALLEL_RANK, random.Random(8))
+    _fake_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, failing, refuse)
+    assert weight_distribution(code) == _serial(code, monkeypatch)
+    _assert_no_child_left()
+
+
+def test_split_count_stays_serial_while_another_thread_runs(monkeypatch):
+    code = _random_code(9, PARALLEL_RANK, random.Random(9))
+    _fake_cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        assert weight_distribution(code) == gf4_oracle.weight_distribution(code)
+    finally:
+        release.set()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert forks == []
+    assert weight_distribution(code) == gf4_oracle.weight_distribution(code)
+    assert len(forks) == 1
+
+
+def _sabotaged_children(monkeypatch, payload, status):
+    """Children that write ``payload`` to their pipe and exit with ``status``, counting nothing."""
+    pipes, real_pipe, real_fork, real_exit = [], os.pipe, os.fork, os._exit
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            try:
+                if status < 0:
+                    os.kill(os.getpid(), -status)
+                os.write(pipes[-1][1], payload)
+            finally:
+                real_exit(status)
+        return pid
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _share_counts(total, n, *, zero=0):
+    """n + 1 counts >= 0 summing to ``total``, all but ``zero`` of them at weight 0."""
+    return " ".join(map(str, [total - zero, zero] + [0] * (n - 1))).encode()
+
+
+# rank 16 in two shares: each share holds 2^15 words
+SABOTAGE = {
+    "exit 3 after counts of the right total": (_share_counts(1 << 15, 9), 3),
+    "killed before writing": (b"", -9),
+    "not integers": (b"1 2 x", 0),
+    "a Python expression": (b"__import__('os')", 0),
+    "too few counts": (b"32768", 0),
+    "too many counts": (_share_counts(1 << 15, 10), 0),
+    "a negative count": (_share_counts(1 << 15, 9, zero=-1), 0),
+    "the wrong total": (_share_counts(1 << 14, 9), 0),
+    "nothing": (b"", 0),
+}
+
+
+@pytest.mark.parametrize("payload, status", SABOTAGE.values(), ids=SABOTAGE)
+def test_parent_recounts_a_share_its_child_got_wrong(monkeypatch, payload, status):
+    code = _random_code(9, 16, random.Random(16))
+    expected = _serial(code, monkeypatch)
+    _fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(gf4, "PARALLEL_RANK", 16)
+    _sabotaged_children(monkeypatch, payload, status)
+    assert weight_distribution(code) == expected
+    _assert_no_child_left()
+
+
+def test_split_count_is_verified_before_it_is_returned(monkeypatch):
+    code = _random_code(9, 16, random.Random(16))
+    _fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(gf4, "PARALLEL_RANK", 16)
+    # well-formed counts of the right total, all at weight 0: counts[0] != 1
+    _sabotaged_children(monkeypatch, _share_counts(1 << 15, 9), 0)
+    with pytest.raises(InvariantError, match="weight count of a rank-16 code"):
+        weight_distribution(code)
+    _assert_no_child_left()
+
+
+def test_unwinding_parent_kills_and_reaps_its_children(monkeypatch):
+    parent, real_split = os.getpid(), gf4.split_halves
+
+    class Interrupted(Exception):
+        pass
+
+    def split_halves(v, n):
+        if os.getpid() == parent:
+            raise Interrupted
+        time.sleep(30)  # a child that would outlive the parent's count
+        return real_split(v, n)
+
+    code = _random_code(6, 8, random.Random(4))
+    _fake_cpus(monkeypatch, 3)
+    monkeypatch.setattr(gf4, "PARALLEL_RANK", 0)
+    monkeypatch.setattr(gf4, "split_halves", split_halves)
+    began = time.monotonic()
+    with pytest.raises(Interrupted):
+        weight_distribution(code)
+    assert time.monotonic() - began < 10
+    _assert_no_child_left()
 
 
 def test_enumerators_fixtures():

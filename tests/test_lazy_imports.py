@@ -7,6 +7,7 @@ out of the count, and report what a command added to ``sys.modules``.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -77,6 +78,33 @@ def test_analyze_loads_gf4():
     assert report["status"] == 0 and "qbounds.gf4" in report["loaded"]
     # every module of NOT_LOADED_OUTSIDE_CURVES but gf4
     assert [m for m in NOT_LOADED_OUTSIDE_CURVES[1:] if m in report["loaded"]] == []
+
+
+def test_split_count_forks_without_warnings_or_pools(tmp_path):
+    """analyze of a code whose dual rank reaches gf4.PARALLEL_RANK, under -W error."""
+    from qbounds import gf4
+
+    n = (gf4.PARALLEL_RANK + 3) // 2
+    code = gf4.random_self_orthogonal_code(n, 2, random.Random(24))
+    assert code.dual.rank >= gf4.PARALLEL_RANK
+    path = tmp_path / "split.code"
+    path.write_text(gf4.format_code(code), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # counts the forks this process makes (a child leaves with os._exit, reporting none)
+    body = "import os\nforks = []\nreal_fork = os.fork\n"
+    body += "os.fork = lambda: forks.append(1) or real_fork()\n" + RUN_COMMAND
+    body += "status = [status, len(forks)]\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-c", PROBE.format(body=body), "analyze", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    status, forks = report["status"]
+    assert status == 0
+    if gf4._available_cpus() > 1:
+        assert forks >= 1
+    assert [m for m in ("multiprocessing", "concurrent.futures") if m in report["loaded"]] == []
 
 
 def test_selftest_passes_from_a_fresh_interpreter():

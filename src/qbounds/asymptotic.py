@@ -190,7 +190,7 @@ def load_classical_bound_csv(path: str) -> ClassicalBound:
     import csv
 
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             numbered = [(i, line) for i, line in enumerate(handle, 1) if not line.startswith("#")]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read classical bound CSV {path!r}: {exc}") from exc

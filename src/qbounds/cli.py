@@ -258,7 +258,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from . import gf4
 
     try:
-        with open(args.code_file, encoding="utf-8") as handle:
+        with open(args.code_file, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ParameterError(f"analyze: {exc}") from exc

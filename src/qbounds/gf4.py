@@ -19,9 +19,11 @@ bit 1 = b); no elimination works on lists of symbols.
 
 from __future__ import annotations
 
+import mmap
 import os
 import signal
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,12 +48,13 @@ if TYPE_CHECKING:
 # one process, and 0.5-0.8 s and 7 s split over both CPUs.
 ENUMERATION_CAP = 26
 # From this rank up, weight_distribution splits its count across forked
-# processes, one per available CPU.  A fork, its child's first page faults
-# and its reaping cost about 1.5 ms on a 2-vCPU host, where a serial count
-# takes about 3 ms at rank 14, 6 ms at rank 15 and 12 ms at rank 16.  Over
-# three 30 s runs each of the code_corpus benchmark, its median wall_s read
-# 0.830 s serial, and 0.580, 0.599 and 0.642 s splitting from rank 15, 16
-# and 17 up, with op_p50_ms level (1.75, 1.78, 1.76 and 1.77 ms).
+# processes, one per available CPU, which hand their counts back through
+# one shared map.  A fork, its child's first page faults and its reaping
+# cost about 1.5 ms on a 2-vCPU host, where a serial count takes about 3 ms
+# at rank 14, 6 ms at rank 15 and 12 ms at rank 16.  Over three 30 s runs
+# each of the code_corpus benchmark, its median wall_s read 0.830 s serial,
+# and 0.580, 0.599 and 0.642 s splitting from rank 15, 16 and 17 up, with
+# op_p50_ms level (1.75, 1.78, 1.76 and 1.77 ms).
 PARALLEL_RANK = 15
 
 _SYMBOL_CHARS = "01wx"
@@ -285,9 +288,8 @@ def parse_code(text: str) -> AdditiveCode:
                 )
             v = symbols_to_int(symbols, n)
             if not _insert(basis, v, _highest_bit):
-                raise ParseError(
-                    f"line {lineno}: row is linearly dependent on earlier rows"
-                )
+                reason = "is linearly dependent on earlier rows" if v else "is zero"
+                raise ParseError(f"line {lineno}: row {reason}")
             rows.append(v)
     if n is None:
         raise ParseError("no generator rows found")
@@ -384,95 +386,61 @@ def _count_processes(rank: int) -> int:
     return _available_cpus()
 
 
-def _fork_count(
-    count: Callable[[Sequence[int]], list[int]], share: Sequence[int]
-) -> tuple[int, int] | None:
-    """Count ``share`` in a forked child; (its pid, the read end of its pipe).
-
-    The child writes its counts to the pipe as decimal integers and leaves
-    with ``os._exit``, so it never unwinds into its parent's stack nor runs
-    its exit handlers.  None when the pipe or the fork fails.
-    """
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(" ".join(map(str, count(share))).encode())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _received_counts(data: bytes, status: int, length: int, total: int) -> list[int] | None:
-    """A child's counts: None unless it exited 0 and sent ``length`` counts >= 0 summing to ``total``."""
-    if status != 0:
-        return None
-    try:
-        counts = [int(token) for token in data.split()]
-    except ValueError:
-        return None
-    if len(counts) != length or min(counts) < 0 or sum(counts) != total:
-        return None
-    return counts
-
-
 def _count_shares(
     count: Callable[[Sequence[int]], list[int]],
     shares: Sequence[Sequence[int]],
+    length: int,
     words_per_entry: int,
 ) -> list[int]:
-    """The elementwise sum of ``count(share)`` over the shares.
+    """The elementwise sum of ``count(share)`` over the shares, ``length`` counts each.
 
-    The parent counts share 0 and a forked child each other share.  The
-    ``finally`` block reaps every child, killing it first when the parent
-    is unwinding from an exception.  The parent counts a share itself when
-    its fork fails, or when its child exits nonzero or sends anything but as
-    many counts as share 0 has, summing to ``words_per_entry`` per entry of
-    the share.
+    The parent counts share 0 and a forked child each other share, which
+    writes its row of ``length`` unsigned 64-bit counts into one shared map
+    and leaves with ``os._exit``.  The ``finally`` block reaps every child,
+    killing it first when the parent is unwinding.  The parent counts a
+    share itself when the map or its fork fails, when its child exits
+    nonzero, or when its row does not sum to ``words_per_entry`` per entry.
     """
-    children: list[tuple[int, int] | None] = []
-    received: dict[int, bytes] = {}
-    statuses: dict[int, int] = {}
-    finished = False
+    if len(shares) == 1:
+        return count(shares[0])
+    width = 8 * length
     try:
-        for share in shares[1:]:
-            children.append(_fork_count(count, share))
-        totals = count(shares[0])
-        for child in filter(None, children):
-            with open(child[1], "rb", closefd=False) as pipe:
-                received[child[0]] = pipe.read()
-        finished = True
-    finally:
-        for child in filter(None, children):
-            pid, read_end = child
-            os.close(read_end)
-            try:
-                if not finished:
-                    os.kill(pid, signal.SIGKILL)
-                statuses[pid] = os.waitpid(pid, 0)[1]
-            except (ProcessLookupError, ChildProcessError):  # reaped elsewhere
-                statuses[pid] = -1
-    for share, child in zip(shares[1:], children):
-        counts = None
-        if child is not None:
-            pid = child[0]
-            counts = _received_counts(
-                received[pid], statuses[pid], len(totals), len(share) * words_per_entry
-            )
-        totals = list(map(add, totals, counts or count(share)))
+        rows = mmap.mmap(-1, width * len(shares))
+    except OSError:
+        return [sum(column) for column in zip(*map(count, shares))]
+    children: dict[int, int] = {}
+    statuses: dict[int, int] = {}
+    with rows:
+        finished = False
+        try:
+            for i in range(1, len(shares)):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    continue
+                if pid == 0:
+                    status = 1
+                    try:
+                        rows[i * width : (i + 1) * width] = array("Q", count(shares[i]))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children[i] = pid
+            totals = count(shares[0])
+            finished = True
+        finally:
+            for i, pid in children.items():
+                try:
+                    if not finished:
+                        os.kill(pid, signal.SIGKILL)
+                    statuses[i] = os.waitpid(pid, 0)[1]
+                except (ProcessLookupError, ChildProcessError):  # reaped elsewhere
+                    statuses[i] = -1
+        for i in range(1, len(shares)):
+            counts = array("Q", rows[i * width : (i + 1) * width]).tolist()
+            if statuses.get(i) != 0 or sum(counts) != len(shares[i]) * words_per_entry:
+                counts = count(shares[i])
+            totals = list(map(add, totals, counts))
     return totals
 
 
@@ -489,10 +457,11 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
     From rank ``PARALLEL_RANK`` up, the high words split into one
     contiguous share per CPU the process may run on (its affinity mask,
     else ``os.cpu_count()``), and every share after the first is counted
-    in a forked child process.  The count stays in this process below that
-    rank, with one CPU, where ``os.fork`` is missing, or while another
-    thread is alive.  The summed counts are checked (entry 0 is 1, the
-    total is 2^rank) before they are returned.
+    in a forked child process that writes its n + 1 counts into its row of
+    one shared map.  The count stays in this process below that rank, with
+    one CPU, where ``os.fork`` is missing, or while another thread is
+    alive.  The summed counts are checked (entry 0 is 1, the total is
+    2^rank) before they are returned.
     """
     gens, n = code.generators, code.n
     rank = len(gens)
@@ -516,7 +485,7 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
 
     parts = min(_count_processes(rank), len(high))
     shares = [high[i * len(high) // parts : (i + 1) * len(high) // parts] for i in range(parts)]
-    counts = _count_shares(count, shares, len(low_a))
+    counts = _count_shares(count, shares, n + 1, len(low_a))
     if counts[0] != 1 or sum(counts) != 1 << rank:
         raise InvariantError(f"weight count of a rank-{rank} code is {counts}")
     return tuple(counts)

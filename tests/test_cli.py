@@ -169,6 +169,7 @@ FAILURE_FILES = {
     "nso.code": "XX\nZX\n".encode("utf-8"),
     "latin1.code": "XZZXI # Ä\n".encode("latin-1"),
     "wide.code": ("X" * (gf4.ENUMERATION_CAP // 2 + 1) + "\n").encode("utf-8"),
+    "zero.code": "IIII\nXXXX\n".encode("utf-8"),
 }
 CHECK_5 = ("check", "--n", "5", "--d", "3")
 TABLE_4 = ("table", "--n-max", "4", "--d-max", "4")
@@ -213,6 +214,7 @@ FAILURES = [
     (("analyze", "missing.code"), 2, "error: analyze: [Errno 2] No such file or directory"),
     (("analyze", "latin1.code"), 2, "error: analyze: latin1.code: not UTF-8"),
     (("analyze", "bad.code"), 2, "error: line 1: "),
+    (("analyze", "zero.code"), 2, "error: line 1: row is zero\n"),
     (("analyze", "nso.code"), 2, "error: code is not self-orthogonal"),
     # every cap
     (("check", "--n", str(CHECK_SIZE_CAP + 1), "--k", "1", "--d", "3"), 3,
@@ -594,6 +596,15 @@ def test_analyze_five_qubit(capsys, five_qubit_file):
     assert all(w["sound"] for w in payload["reduction_witnesses"])
 
 
+def test_analyze_reads_past_a_byte_order_mark(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "five.code").write_bytes(bom + fixture_text("five_qubit.code").encode())
+        outputs.append(run(capsys, "analyze", "five.code"))
+    assert outputs[1] == outputs[0] and outputs[0][0] == 0
+
+
 def test_analyze_c422(capsys, tmp_path):
     path = tmp_path / "c422.code"
     path.write_text(fixture_text("c422.code"), encoding="utf-8")
@@ -698,6 +709,16 @@ def test_curves_classical_bound_plugin(capsys, tmp_path):
                        "--classical-bound", str(table))
     assert code == 0
     assert f"table:{table}" in out
+
+
+def test_curves_classical_bound_reads_past_a_byte_order_mark(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "classical.csv").write_bytes(bom + CLASSICAL_CSV.encode())
+        outputs.append(run(capsys, "curves", "--id", "E", "--samples", "20",
+                           "--classical-bound", "classical.csv"))
+    assert outputs[1] == outputs[0] and outputs[0][0] == 0
 
 
 @pytest.mark.parametrize("body,fragment", [

@@ -65,6 +65,17 @@ GOLDEN_ANALYZE_RANDOM = {
     (10, 8, 22): "613434a09a4123d81703c3d5a200920e6f82ea60a6534246bd919fc457172f6d",
     (10, 8, 26): "759b0a20c5b66a1565a05d04d10e588fc229fab89abb014d1d2dd9d77a487954",
 }
+# the same digest for codes whose dual, of rank 15 through 20, is counted
+# at or above gf4.PARALLEL_RANK, recorded while the count forked one
+# process per CPU
+GOLDEN_ANALYZE_SPLIT = {
+    (9, 3, 15): "b35b7e2978eeab2150730a8150a003e72481ff1fbc6878faa5af45bdd8a37526",
+    (9, 2, 16): "90a74db85f72a491469cf540b38d5dd41862ec52e1d173ccfbc00dcd29ff87e7",
+    (10, 3, 17): "856a5f44217d54daeacfcb251f6be17546e93e0869fbffcd74d3daefa6269f67",
+    (10, 2, 18): "2862a90420d4e0129e8aa900f6e4a805e0bcfeb00315d490d0da5f1f38fabbc6",
+    (11, 3, 19): "0441711bfe3dc9537168bd67b4bdd08a77a745f9f38cc57871df8ce96b47c162",
+    (12, 4, 20): "5f661ee718a1248a41de07694d0ac3c7e403018c0845f9a4f528ea0746ec0009",
+}
 
 # sha256 of the concatenated stdout of `lp` at d = 2..4, each with K = 1 (feasible
 # except at (5, 4), which admits no K) and K = Singleton ceiling + 1/2 (infeasible),
@@ -372,13 +383,24 @@ def test_golden_analyze(capsys, tmp_path, monkeypatch, name):
     assert stdout_digest(capsys, "analyze", name) == GOLDEN_ANALYZE[name]
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN_ANALYZE_RANDOM))
-def test_golden_analyze_random(capsys, tmp_path, monkeypatch, key):
+def random_code_digest(capsys, tmp_path, monkeypatch, key):
     n, rank, seed = key
     code = gf4.random_self_orthogonal_code(n, rank, random.Random(seed))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "random.code").write_text(gf4.format_code(code), encoding="utf-8")
-    assert stdout_digest(capsys, "analyze", "random.code") == GOLDEN_ANALYZE_RANDOM[key]
+    return stdout_digest(capsys, "analyze", "random.code")
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_ANALYZE_RANDOM))
+def test_golden_analyze_random(capsys, tmp_path, monkeypatch, key):
+    assert random_code_digest(capsys, tmp_path, monkeypatch, key) == GOLDEN_ANALYZE_RANDOM[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_ANALYZE_SPLIT))
+def test_golden_analyze_split_rank(capsys, tmp_path, monkeypatch, key):
+    assert gf4.random_self_orthogonal_code(
+        key[0], key[1], random.Random(key[2])).dual.rank >= gf4.PARALLEL_RANK
+    assert random_code_digest(capsys, tmp_path, monkeypatch, key) == GOLDEN_ANALYZE_SPLIT[key]
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_LP))

@@ -155,11 +155,15 @@ def first_lp_bound(q: int = 4) -> ClassicalBound:
 def tabulated_bound(points: Sequence[tuple[float, float]]) -> ClassicalBound:
     """Piecewise-linear rate bound from (delta, rate) samples.
 
-    Deltas must be strictly increasing and rates nonincreasing; outside the
-    sampled range the end values are held constant.
+    Deltas and rates must be numbers in [0, 1], deltas strictly increasing
+    and rates nonincreasing; outside the sampled range the end values are
+    held constant.
     """
     if len(points) < 2:
         raise ParameterError("need at least two (delta, rate) points")
+    # written so that NaN fails it too
+    if not all(0.0 <= v <= 1.0 for point in points for v in point):
+        raise ParameterError("every delta and rate must be a number in [0, 1]")
     deltas = [p[0] for p in points]
     rates = [p[1] for p in points]
     if any(b <= a for a, b in zip(deltas, deltas[1:])):

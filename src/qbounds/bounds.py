@@ -356,7 +356,10 @@ class _EnumeratorLP:
 
     def __init__(self, n: int, d: int, K: Fraction | int | None = None, capped: bool = True):
         if K is not None:
-            K = Fraction(K)
+            try:
+                K = Fraction(K)
+            except (OverflowError, ValueError) as exc:  # an infinity or NaN
+                raise ParameterError(f"K must be a finite number, got {K}") from exc
             if K <= 0:
                 raise ParameterError(f"K must be positive, got {K}")
         _require_d(n, d)

@@ -47,14 +47,14 @@ if TYPE_CHECKING:
 # 2-vCPU host one scan takes 0.7-0.95 s at rank 22 and 12 s at rank 26 in
 # one process, and 0.5-0.8 s and 7 s split over both CPUs.
 ENUMERATION_CAP = 26
-# From this rank up, weight_distribution splits its count across forked
-# processes, one per available CPU, which hand their counts back through
-# one shared map.  A fork, its child's first page faults and its reaping
-# cost about 1.5 ms on a 2-vCPU host, where a serial count takes about 3 ms
-# at rank 14, 6 ms at rank 15 and 12 ms at rank 16.  Over three 30 s runs
-# each of the code_corpus benchmark, its median wall_s read 0.830 s serial,
-# and 0.580, 0.599 and 0.642 s splitting from rank 15, 16 and 17 up, with
-# op_p50_ms level (1.75, 1.78, 1.76 and 1.77 ms).
+# From this rank up, weight_distribution counts half its high words in one
+# forked child, which hands its counts back through a one-row shared map.
+# A fork, its child's first page faults and its reaping cost about 1.5 ms on
+# a 2-vCPU host, where a serial count takes about 3 ms at rank 14, 6 ms at
+# rank 15 and 12 ms at rank 16.  Over three 30 s runs each of the
+# code_corpus benchmark, its median wall_s read 0.830 s serial, and 0.580,
+# 0.599 and 0.642 s splitting from rank 15, 16 and 17 up, with op_p50_ms
+# level (1.75, 1.78, 1.76 and 1.77 ms).
 PARALLEL_RANK = 15
 
 _SYMBOL_CHARS = "01wx"
@@ -363,85 +363,65 @@ def _require_enumerable(rank: int) -> None:
         raise CapacityError(f"rank {rank} exceeds enumeration cap {ENUMERATION_CAP}")
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS keeps one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _forks_a_child(rank: int) -> bool:
+    """Whether a rank-``rank`` count splits its high words with one forked child.
 
-
-def _count_processes(rank: int) -> int:
-    """How many processes count a rank-``rank`` span: one unless forking can pay.
-
-    Forking is left alone where it is missing and where another thread is
-    alive, since a forked child holds a copy of every lock some thread may
-    hold at that moment.  ``threading`` is read from ``sys.modules`` so that
-    a process without threads does not import it.
+    It does from ``PARALLEL_RANK`` up where the affinity mask (else
+    ``os.cpu_count()``) holds a second CPU, ``os.fork`` exists and no other
+    thread is alive, since a forked child holds a copy of every lock some
+    thread may hold at that moment.  ``threading`` is read from
+    ``sys.modules`` so that a process without threads does not import it.
     """
     if rank < PARALLEL_RANK or not hasattr(os, "fork"):
-        return 1
+        return False
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
-        return 1
-    return _available_cpus()
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
-def _count_shares(
-    count: Callable[[Sequence[int]], list[int]],
-    shares: Sequence[Sequence[int]],
-    length: int,
-    words_per_entry: int,
+def _count_split(
+    count: Callable[[Sequence[int]], list[int]], words: Sequence[int], length: int, per_word: int
 ) -> list[int]:
-    """The elementwise sum of ``count(share)`` over the shares, ``length`` counts each.
+    """``count(words)``, ``length`` counts, with the second half counted in a forked child.
 
-    The parent counts share 0 and a forked child each other share, which
-    writes its row of ``length`` unsigned 64-bit counts into one shared map
-    and leaves with ``os._exit``.  The ``finally`` block reaps every child,
-    killing it first when the parent is unwinding.  The parent counts a
-    share itself when the map or its fork fails, when its child exits
-    nonzero, or when its row does not sum to ``words_per_entry`` per entry.
+    The child writes its counts as unsigned 64-bit ints into a one-row
+    anonymous shared map and leaves with ``os._exit``.  The parent counts
+    the first half, then reaps the child, killing it first when the parent
+    is unwinding.  It counts the second half itself when the map or the
+    fork fails, when the child exits nonzero, or when the row does not sum
+    to ``per_word`` counted words for each word of that half.
     """
-    if len(shares) == 1:
-        return count(shares[0])
-    width = 8 * length
+    first, second = words[: len(words) // 2], words[len(words) // 2 :]
+    totals = theirs = None
     try:
-        rows = mmap.mmap(-1, width * len(shares))
-    except OSError:
-        return [sum(column) for column in zip(*map(count, shares))]
-    children: dict[int, int] = {}
-    statuses: dict[int, int] = {}
-    with rows:
-        finished = False
-        try:
-            for i in range(1, len(shares)):
+        with mmap.mmap(-1, 8 * length) as row:
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit alone, 1 when its count raised
                 try:
-                    pid = os.fork()
-                except OSError:
-                    continue
-                if pid == 0:
-                    status = 1
-                    try:
-                        rows[i * width : (i + 1) * width] = array("Q", count(shares[i]))
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children[i] = pid
-            totals = count(shares[0])
-            finished = True
-        finally:
-            for i, pid in children.items():
+                    row[:] = array("Q", count(second))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            try:
+                totals = count(first)
+            finally:
                 try:
-                    if not finished:
+                    if totals is None:
                         os.kill(pid, signal.SIGKILL)
-                    statuses[i] = os.waitpid(pid, 0)[1]
+                    status = os.waitpid(pid, 0)[1]
                 except (ProcessLookupError, ChildProcessError):  # reaped elsewhere
-                    statuses[i] = -1
-        for i in range(1, len(shares)):
-            counts = array("Q", rows[i * width : (i + 1) * width]).tolist()
-            if statuses.get(i) != 0 or sum(counts) != len(shares[i]) * words_per_entry:
-                counts = count(shares[i])
-            totals = list(map(add, totals, counts))
-    return totals
+                    status = -1
+            counts = array("Q", row[:]).tolist()
+            if status == 0 and sum(counts) == len(second) * per_word:
+                theirs = counts
+    except OSError:  # from the map or the fork
+        pass
+    if totals is None:
+        totals = count(first)
+    return list(map(add, totals, theirs or count(second)))
 
 
 def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
@@ -454,14 +434,13 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
     low block's X and Z halves.  At ``ENUMERATION_CAP`` the three lists
     (low X halves, low Z halves, high words) hold at most 3 * 2^13 ints.
 
-    From rank ``PARALLEL_RANK`` up, the high words split into one
-    contiguous share per CPU the process may run on (its affinity mask,
-    else ``os.cpu_count()``), and every share after the first is counted
-    in a forked child process that writes its n + 1 counts into its row of
-    one shared map.  The count stays in this process below that rank, with
-    one CPU, where ``os.fork`` is missing, or while another thread is
-    alive.  The summed counts are checked (entry 0 is 1, the total is
-    2^rank) before they are returned.
+    From rank ``PARALLEL_RANK`` up, one forked child process counts the
+    second half of the high words and writes its n + 1 counts into a
+    one-row shared map while this process counts the first half.  The
+    count stays in this process below that rank, with one CPU, where
+    ``os.fork`` is missing, or while another thread is alive.  The summed
+    counts are checked (entry 0 is 1, the total is 2^rank) before they are
+    returned.
     """
     gens, n = code.generators, code.n
     rank = len(gens)
@@ -483,9 +462,10 @@ def weight_distribution(code: AdditiveCode) -> tuple[int, ...]:
             )
         return list(map(counts.__getitem__, range(n + 1)))
 
-    parts = min(_count_processes(rank), len(high))
-    shares = [high[i * len(high) // parts : (i + 1) * len(high) // parts] for i in range(parts)]
-    counts = _count_shares(count, shares, n + 1, len(low_a))
+    if _forks_a_child(rank):
+        counts = _count_split(count, high, n + 1, len(low_a))
+    else:
+        counts = count(high)
     if counts[0] != 1 or sum(counts) != 1 << rank:
         raise InvariantError(f"weight count of a rank-{rank} code is {counts}")
     return tuple(counts)

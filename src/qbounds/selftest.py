@@ -26,9 +26,9 @@ def fixture_manifest() -> dict:
     return json.loads(fixture_text("manifest.json"))
 
 
-def check_orthogonality(n_max: int = 10) -> Check:
+def check_orthogonality() -> Check:
     bad = 0
-    for n in range(n_max + 1):
+    for n in range(11):
         for r in range(n + 1):
             for s in range(r, n + 1):
                 total = sum(
@@ -45,14 +45,14 @@ def check_orthogonality(n_max: int = 10) -> Check:
     return (
         "krawtchouk-orthogonality",
         bad == 0,
-        f"n <= {n_max}, exact; {bad} violations",
+        f"n <= 10, exact; {bad} violations",
     )
 
 
-def check_involution(trials: int = 1000, seed: int = 20240) -> Check:
-    rng = random.Random(seed)
+def check_involution() -> Check:
+    rng = random.Random(20240)
     bad = 0
-    for _ in range(trials):
+    for _ in range(1000):
         n = rng.randint(1, 8)
         dist = [rng.randint(0, 60) for _ in range(n + 1)]
         scale = Fraction(rng.randint(1, 64))
@@ -60,7 +60,7 @@ def check_involution(trials: int = 1000, seed: int = 20240) -> Check:
         back = macwilliams_transform(forward, n, 4, Fraction(4**n) / scale)
         if back != [Fraction(v) for v in dist]:
             bad += 1
-    return ("transform-involution", bad == 0, f"{trials} random distributions, exact")
+    return ("transform-involution", bad == 0, "1000 random distributions, exact")
 
 
 def check_fixtures() -> Check:
@@ -88,9 +88,9 @@ def check_fixtures() -> Check:
     )
 
 
-def check_lp_dominance(n_max: int = 6) -> Check:
+def check_lp_dominance() -> Check:
     bad = []
-    for n in range(2, n_max + 1):
+    for n in range(2, 7):
         for d in range(1, n + 1):
             critical = bounds.lp_critical_K(n, d)
             if critical is None:
@@ -99,16 +99,16 @@ def check_lp_dominance(n_max: int = 6) -> Check:
             for verdict in (bounds.singleton_bound(n, d), bounds.hamming_bound(n, d)):
                 if scale > verdict.value_on_2nK:
                     bad.append(f"(n={n}, d={d}) {verdict.bound_name}")
-    return ("lp-weak-duality", not bad, "; ".join(bad) or f"n <= {n_max} sweep, exact")
+    return ("lp-weak-duality", not bad, "; ".join(bad) or "n <= 6 sweep, exact")
 
 
-def check_reduction_soundness(trials: int = 25, seed: int = 977) -> Check:
-    rng = random.Random(seed)
+def check_reduction_soundness() -> Check:
+    rng = random.Random(977)
     bad = []
     corpus = [
         gf4.parse_code(fixture_text(name)) for name in sorted(fixture_manifest())
     ]
-    while len(corpus) < trials + 5:
+    while len(corpus) < 30:  # the five fixtures and 25 seeded codes
         n = rng.randint(2, 8)
         corpus.append(gf4.random_self_orthogonal_code(n, rng.randint(1, n), rng))
     for code in corpus:
@@ -182,7 +182,7 @@ def check_mixed_ball_oracle(max_len: int = 3, max_l: int = 2) -> Check:
     )
 
 
-DEFAULT_CHECKS: tuple[Callable[[], Check], ...] = (
+CHECKS: tuple[Callable[[], Check], ...] = (
     check_orthogonality,
     check_involution,
     check_fixtures,
@@ -192,6 +192,6 @@ DEFAULT_CHECKS: tuple[Callable[[], Check], ...] = (
 )
 
 
-def run_selftest(checks: Iterable[Callable[[], Check]] = DEFAULT_CHECKS) -> tuple[list[Check], bool]:
-    results = [check() for check in checks]
+def run_selftest() -> tuple[list[Check], bool]:
+    results = [check() for check in CHECKS]
     return results, all(passed for _, passed, _ in results)

@@ -312,6 +312,19 @@ def test_tabulated_bound_interpolation_and_validation():
         tabulated_bound([(0.0, 1.0), (0.0, 0.5)])
     with pytest.raises(ParameterError):
         tabulated_bound([(0.0, 0.5), (0.5, 0.9)])
+    # tables that pass the order checks but hold NaN, an infinity or a value outside [0, 1]
+    for table in (
+        [(0.0, 1.0), (0.3, math.nan), (0.6, 0.0)],
+        [(0.0, 1.0), (math.nan, 0.5)],
+        [(0.0, math.inf), (0.5, 0.0)],
+        [(0.0, 1.0), (0.5, -math.inf)],
+        [(-math.inf, 1.0), (0.5, 0.0)],
+        [(0.0, 1.0), (math.inf, 0.0)],
+        [(0.0, 1.5), (0.5, 0.0)],
+        [(-0.25, 1.0), (0.5, 0.0)],
+    ):
+        with pytest.raises(ParameterError, match=r"^every delta and rate must be a number in \[0, 1\]$"):
+            tabulated_bound(table)
 
     # a long table gives, at every knot and midpoint, the float that a
     # linear scan for the first interval holding delta gives

@@ -1,6 +1,7 @@
 """Finite-length bounds: polynomial method, LP feasibility, sphere packing."""
 
 import hashlib
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -477,6 +478,9 @@ OUT_OF_DOMAIN = [
     (5, F(-1, 3), 3, "K must be positive, got -1/3"),
     (5, 0, 9, "K must be positive, got 0"),
     (LP_SIZE_CAP + 1, 1, LP_SIZE_CAP + 2, f"need 1 <= d <= n, got d={LP_SIZE_CAP + 2}"),
+    (5, math.inf, 3, "K must be a finite number, got inf"),
+    (5, -math.inf, 3, "K must be a finite number, got -inf"),
+    (5, math.nan, 9, "K must be a finite number, got nan"),
 ]
 
 

@@ -309,17 +309,12 @@ def test_weight_distribution_matches_word_loop():
 
 
 # ---------------------------------------------------------------------------
-# the count split across forked processes
+# the count split with one forked child
 # ---------------------------------------------------------------------------
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# (tests/conftest.py fails any test that leaves a child process behind)
 
 
 def _fake_cpus(monkeypatch, cpus):
-    assert cpus <= 4  # a test never starts more processes than this
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
@@ -349,32 +344,31 @@ def test_split_count_matches_oracle_and_serial_count(monkeypatch):
             code = _random_code(n, rank, rng)
             expected = gf4_oracle.weight_distribution(code)
             assert _serial(code, monkeypatch) == expected
-            _assert_no_child_left()
             for cpus in (2, 3):
                 _fake_cpus(monkeypatch, cpus)
                 # below the threshold, the split is forced by lowering it
                 monkeypatch.setattr(gf4, "PARALLEL_RANK", min(rank, PARALLEL_RANK))
                 del forks[:]
                 assert weight_distribution(code) == expected, (rank, n, cpus)
-                assert len(forks) == cpus - 1
-                _assert_no_child_left()
+                assert len(forks) == 1
 
 
 def test_count_processes_threshold_and_cpu_count(monkeypatch):
     _fake_cpus(monkeypatch, 4)
-    assert gf4._count_processes(PARALLEL_RANK - 1) == 1
-    assert gf4._count_processes(PARALLEL_RANK) == 4
+    assert not gf4._forks_a_child(PARALLEL_RANK - 1)
+    assert gf4._forks_a_child(PARALLEL_RANK)
     _fake_cpus(monkeypatch, 1)
-    assert gf4._count_processes(ENUMERATION_CAP) == 1
+    assert not gf4._forks_a_child(ENUMERATION_CAP)
     # without an affinity mask, the CPU count stands in
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert gf4._available_cpus() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert gf4._available_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert gf4._forks_a_child(PARALLEL_RANK)
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert not gf4._forks_a_child(ENUMERATION_CAP)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.delattr(os, "fork")
-    assert gf4._count_processes(ENUMERATION_CAP) == 1
+    assert not gf4._forks_a_child(ENUMERATION_CAP)
 
 
 def test_split_count_never_exceeds_the_shares(monkeypatch):
@@ -382,12 +376,29 @@ def test_split_count_never_exceeds_the_shares(monkeypatch):
     monkeypatch.setattr(gf4, "PARALLEL_RANK", 0)
     forks = _counted_forks(monkeypatch)
     rng = random.Random(5)
-    for rank, processes in ((0, 1), (1, 1), (2, 2), (3, 2), (4, 4), (5, 4)):
+    # from rank 0 up, where one half of the high words is empty, to rank 5
+    for rank in range(6):
         code = _random_code(4, rank, rng)
         del forks[:]
         assert weight_distribution(code) == gf4_oracle.weight_distribution(code)
-        assert len(forks) == processes - 1
-        _assert_no_child_left()
+        assert len(forks) == 1
+
+
+def test_split_count_forks_once_whatever_the_mask_holds(monkeypatch):
+    code = _random_code(9, PARALLEL_RANK, random.Random(12))
+    _fake_cpus(monkeypatch, 64)
+    calls, real_fork = [], os.fork
+
+    def fork():
+        # a refused call starts no process, so the test never starts more than one
+        calls.append(None)
+        if len(calls) > 1:
+            raise OSError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert weight_distribution(code) == gf4_oracle.weight_distribution(code)
+    assert len(calls) == 1
 
 
 def _shared_maps(monkeypatch):
@@ -411,7 +422,6 @@ def test_split_count_survives_a_failed_fork(monkeypatch, failing):
     _fake_cpus(monkeypatch, 3)
     monkeypatch.setattr(*failing, refuse)
     assert weight_distribution(code) == _serial(code, monkeypatch)
-    _assert_no_child_left()
 
 
 def _open_fds():
@@ -425,9 +435,8 @@ def test_split_count_leaves_no_child_fd_or_map_behind(monkeypatch):
     forks, maps = _counted_forks(monkeypatch), _shared_maps(monkeypatch)
     fds = _open_fds()
     assert weight_distribution(code) == expected
-    assert len(forks) == 2 and len(maps) == 1 and maps[0].closed
+    assert len(forks) == 1 and len(maps) == 1 and maps[0].closed
     assert _open_fds() == fds
-    _assert_no_child_left()
 
 
 def test_count_below_the_threshold_creates_no_map(monkeypatch):
@@ -456,21 +465,19 @@ def test_split_count_stays_serial_while_another_thread_runs(monkeypatch):
     assert len(forks) == 1
 
 
-def _sabotaged_children(monkeypatch, row, status):
-    """Children that write ``row`` (None: nothing) into their row of the shared map
-    and exit with ``status``, counting nothing."""
-    maps, forks, real_fork, real_exit = _shared_maps(monkeypatch), [], os.fork, os._exit
+def _sabotaged_child(monkeypatch, row, status):
+    """A child that writes ``row`` (None: nothing) over the one-row shared map
+    and exits with ``status`` (below 0: killed by that signal), counting nothing."""
+    maps, real_fork, real_exit = _shared_maps(monkeypatch), os.fork, os._exit
 
     def fork():
-        forks.append(None)
         pid = real_fork()
         if pid == 0:
             try:
                 if status < 0:
                     os.kill(os.getpid(), -status)
                 if row is not None:
-                    width = 8 * len(row)  # child k writes row k; the parent keeps row 0
-                    maps[-1][len(forks) * width : (len(forks) + 1) * width] = array("Q", row)
+                    maps[-1][:] = array("Q", row)
             finally:
                 real_exit(status)
         return pid
@@ -483,7 +490,7 @@ def _share_counts(total, n):
     return [total] + [0] * n
 
 
-# rank 16 in two shares: each share holds 2^15 words
+# rank 16 in two halves: each half of the high words stands for 2^15 words
 SABOTAGE = {
     "exit 3 after counts of the right total": (_share_counts(1 << 15, 9), 3),
     "killed before writing": (None, -9),
@@ -498,9 +505,8 @@ def test_parent_recounts_a_share_its_child_got_wrong(monkeypatch, row, status):
     expected = _serial(code, monkeypatch)
     _fake_cpus(monkeypatch, 2)
     monkeypatch.setattr(gf4, "PARALLEL_RANK", 16)
-    _sabotaged_children(monkeypatch, row, status)
+    _sabotaged_child(monkeypatch, row, status)
     assert weight_distribution(code) == expected
-    _assert_no_child_left()
 
 
 def test_split_count_is_verified_before_it_is_returned(monkeypatch):
@@ -508,10 +514,9 @@ def test_split_count_is_verified_before_it_is_returned(monkeypatch):
     _fake_cpus(monkeypatch, 2)
     monkeypatch.setattr(gf4, "PARALLEL_RANK", 16)
     # a row of the right total, all at weight 0: counts[0] != 1
-    _sabotaged_children(monkeypatch, _share_counts(1 << 15, 9), 0)
+    _sabotaged_child(monkeypatch, _share_counts(1 << 15, 9), 0)
     with pytest.raises(InvariantError, match="weight count of a rank-16 code"):
         weight_distribution(code)
-    _assert_no_child_left()
 
 
 def test_unwinding_parent_kills_and_reaps_its_children(monkeypatch):
@@ -537,7 +542,6 @@ def test_unwinding_parent_kills_and_reaps_its_children(monkeypatch):
     assert time.monotonic() - began < 10
     assert len(maps) == 1 and maps[0].closed
     assert _open_fds() == fds
-    _assert_no_child_left()
 
 
 def test_enumerators_fixtures():

@@ -398,8 +398,8 @@ def test_golden_analyze_random(capsys, tmp_path, monkeypatch, key):
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_ANALYZE_SPLIT))
 def test_golden_analyze_split_rank(capsys, tmp_path, monkeypatch, key):
-    assert gf4.random_self_orthogonal_code(
-        key[0], key[1], random.Random(key[2])).dual.rank >= gf4.PARALLEL_RANK
+    n, rank, _ = key
+    assert 2 * n - rank >= gf4.PARALLEL_RANK  # the rank of the dual
     assert random_code_digest(capsys, tmp_path, monkeypatch, key) == GOLDEN_ANALYZE_SPLIT[key]
 
 

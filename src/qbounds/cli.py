@@ -17,9 +17,10 @@ Rationals render as 'p/q'.
 Each command is one row of ``COMMANDS`` (help text, argument adder,
 handler), and ``main`` builds the parser with the subparser of the command
 that ``argv[0]`` names and no other; any other argv gets every subparser,
-so help texts and error lines read the same either way.  Only ``analyze``
-imports ``gf4``, only ``curves`` ``asymptotic`` and only ``selftest`` its
-suite, so the other commands start without them.
+so help texts and error lines read the same either way.  Only ``check``,
+``table``, ``lp`` and ``selftest`` import ``bounds``, only ``analyze``
+``gf4``, only ``curves`` ``asymptotic`` and only ``selftest`` its suite, so
+each command starts without the layers it does not run.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import __version__, bounds
+from . import __version__
 from .errors import (
     CapacityError,
     InvariantError,
@@ -41,6 +42,9 @@ from .errors import (
     SolverError,
     StructureError,
 )
+
+if TYPE_CHECKING:
+    from . import bounds
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -132,6 +136,8 @@ def _bound_names(command: str, text: str, allowed: Sequence[str]) -> list[str]:
 
 
 def _closed_form(name: str, n: int, d: int) -> bounds.BoundVerdict:
+    from . import bounds
+
     return getattr(bounds, f"{name}_bound")(n, d)
 
 
@@ -184,6 +190,8 @@ def _flatten_csv(payload: dict, prefix: str = "") -> list[str]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from . import bounds
+
     n, d = args.n, args.d
     if n > CHECK_SIZE_CAP:
         raise CapacityError(f"n={n} exceeds the check cap {CHECK_SIZE_CAP}")
@@ -226,6 +234,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import bounds
+
     names = _bound_names("table", args.bounds, TABLE_BOUNDS)
     for flag, value in (("n-max", args.n_max), ("d-max", args.d_max)):
         if value <= 0:
@@ -297,6 +307,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_lp(args: argparse.Namespace) -> int:
+    from . import bounds
+
     K = _query_K(None, args.K)
     result, critical = bounds.lp_feasible_and_critical_K(args.n, K, args.d)
     payload: dict = {

@@ -1,10 +1,12 @@
 """Finite-length bounds: polynomial method, LP feasibility, sphere packing."""
 
 import hashlib
+import json
 import math
 import random
 import re
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
@@ -595,6 +597,62 @@ def test_bounds_never_exclude_brute_forced_codes():
         sf = standard_form(code)
         verdict = degenerate_hamming_check(params.n, params.k, sf.k0, sf.k1, params.d)
         assert verdict.passed, (code, params)
+
+
+def _own_parameter_corpus():
+    """(label, code): the fixtures, seeded codes, degenerate codes and the [[6,4,2]] code."""
+    from test_gf4 import _with_fixed_qubit
+
+    from qbounds.gf4 import parse_code, random_self_orthogonal_code
+
+    fixtures = resources.files("qbounds") / "fixtures"
+    manifest = json.loads((fixtures / "manifest.json").read_text(encoding="utf-8"))
+    for name in sorted(manifest):
+        yield name, parse_code((fixtures / name).read_text(encoding="utf-8"))
+    for n in range(3, 11):
+        for rank in range(1, n + 1):
+            for seed in range(3):
+                code = random_self_orthogonal_code(n, rank, random.Random(seed))
+                yield f"random({n}, {rank}, {seed})", code
+                # a weight-1 stabilizer on one more qubit, degenerate once d >= 2
+                if seed == 0 and n < 10:
+                    yield f"fixed_qubit({n}, {rank})", _with_fixed_qubit(code, 1 + rank % 3)
+    yield "XXXXXX / ZZZZZZ", parse_code("XXXXXX / ZZZZZZ")
+
+
+def test_codes_never_break_the_bounds_at_their_own_parameters():
+    """No code exceeds a bound at its own (n, k, d); the pure ones also fit the LP.
+
+    d is gf4.quantum_distance's: for k = 0 the least nonzero weight of C, so
+    every k = 0 code is pure.  Degenerate codes are held to Singleton alone;
+    a pure code also meets Hamming, Levenshtein where it applies, the LP
+    witness check on its own B at K = 2^k and the LP's critical K.
+    """
+    from qbounds.gf4 import enumerators
+
+    critical_K = {}
+    seen = {"k = 0": 0, "degenerate": 0, "pure": 0}
+    for label, code in _own_parameter_corpus():
+        pair = enumerators(code)
+        params = pair.params
+        n, k, d = params.n, params.k, params.d
+        K = F(2) ** k
+        if label == "XXXXXX / ZZZZZZ":
+            assert (n, k, d) == (6, 4, 2)
+        assert k <= singleton_bound(n, d).k_max, (label, params)
+        seen["k = 0"] += k == 0
+        if params.degenerate:
+            seen["degenerate"] += 1
+            continue
+        seen["pure"] += 1
+        for v in (hamming_bound(n, d), levenshtein_bound(n, d)):
+            assert not v.applicable or v.allows_K(n, K), (label, params, v.bound_name)
+        assert verify_lp_witness(n, K, d, [F(b) for b in pair.B]), (label, params)
+        if (n, d) not in critical_K:
+            critical_K[n, d] = lp_critical_K(n, d)
+        assert critical_K[n, d] is not None and critical_K[n, d] >= K, (label, params)
+    # every kind of code reached the checks
+    assert min(seen.values()) >= 5, seen
 
 
 def test_weak_duality_sweep():

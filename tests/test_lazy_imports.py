@@ -55,29 +55,36 @@ def test_import_qbounds_loads_no_layer():
     assert [m for m in report["loaded"] if m.startswith("qbounds.")] == []
 
 
-@pytest.mark.parametrize("argv, unused", [
+# check, table, lp and selftest alone run bounds
+LOADS_BOUNDS = {"qbounds.bounds", "qbounds.cli"}
+
+
+@pytest.mark.parametrize("argv, loaded, unused", [
     pytest.param(
         ("check", "--n", "6", "--k", "1", "--d", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
-        NOT_LOADED_OUTSIDE_CURVES, id="check"),
+        LOADS_BOUNDS, NOT_LOADED_OUTSIDE_CURVES, id="check"),
     pytest.param(
         ("table", "--n-max", "6", "--d-max", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
-        NOT_LOADED_OUTSIDE_CURVES, id="table"),
-    pytest.param(("lp", "--n", "6", "--K", "2", "--d", "3"), NOT_LOADED_OUTSIDE_CURVES, id="lp"),
-    pytest.param(("curves", "--id", "fig2", "--kappa1", "0.2", "--samples", "5"), NOT_LOADED,
+        LOADS_BOUNDS, NOT_LOADED_OUTSIDE_CURVES, id="table"),
+    pytest.param(("lp", "--n", "6", "--K", "2", "--d", "3"), LOADS_BOUNDS, NOT_LOADED_OUTSIDE_CURVES,
+                 id="lp"),
+    pytest.param(("curves", "--id", "fig2", "--kappa1", "0.2", "--samples", "5"),
+                 {"qbounds.asymptotic", "qbounds.cli"}, ("qbounds.bounds",) + NOT_LOADED,
                  id="curves"),
 ])
-def test_command_leaves_unused_layers_unloaded(argv, unused):
+def test_command_leaves_unused_layers_unloaded(argv, loaded, unused):
     report = probe(RUN_COMMAND, *argv)
     assert report["status"] == 0
-    assert {"qbounds.bounds", "qbounds.cli"} <= set(report["loaded"])
+    assert loaded <= set(report["loaded"])
     assert [m for m in unused if m in report["loaded"]] == []
 
 
 def test_analyze_loads_gf4():
     report = probe(RUN_COMMAND, "analyze", str(FIVE_QUBIT))
     assert report["status"] == 0 and "qbounds.gf4" in report["loaded"]
-    # every module of NOT_LOADED_OUTSIDE_CURVES but gf4
-    assert [m for m in NOT_LOADED_OUTSIDE_CURVES[1:] if m in report["loaded"]] == []
+    # bounds and every module of NOT_LOADED_OUTSIDE_CURVES but gf4
+    unused = ("qbounds.bounds",) + NOT_LOADED_OUTSIDE_CURVES[1:]
+    assert [m for m in unused if m in report["loaded"]] == []
 
 
 def test_split_count_forks_without_warnings_or_pools(tmp_path):
@@ -110,7 +117,8 @@ def test_split_count_forks_without_warnings_or_pools(tmp_path):
 
 def test_selftest_passes_from_a_fresh_interpreter():
     report = probe(RUN_COMMAND, "selftest")
-    assert report["status"] == 0 and "qbounds.selftest" in report["loaded"]
+    assert report["status"] == 0
+    assert {"qbounds.selftest", "qbounds.bounds"} <= set(report["loaded"])
 
 
 def test_every_export_is_its_defining_module_object():

@@ -125,6 +125,38 @@ GOLDEN_CURVES = {
 }
 CLASSICAL_CSV = "delta,rate\n0.0,1.0\n0.1,0.72\n0.2,0.45\n0.3,0.21\n0.45,0.04\n0.6,0.0\n"
 
+# sha256 of stdout for rendering paths the digests above leave out: the CSV of an
+# LP witness and certificate (through `check` and `lp`), of `analyze`'s nested
+# records, and the JSON of degenerate_hamming's notes and details; recorded from
+# the implementation that copied each payload to turn Fractions into strings
+# before printing it.
+GOLDEN_RENDER = {
+    "check-csv-lp-witness": (
+        ("check", "--n", "9", "--K", "7/3", "--d", "4",
+         "--bounds", "singleton,hamming,levenshtein,lp", "--format", "csv"),
+        "797b28092e59e0aa2f78f146ff0ca5658e6447e8274904283f6a22a9a744b6c9"),
+    "check-csv-lp-certificate": (
+        ("check", "--n", "9", "--K", "181/16", "--d", "4", "--bounds", "lp", "--format", "csv"),
+        "d25c3194669fcd27a8ec0ace7da17ab54a2698506549f619c85459ebe7aae994"),
+    "lp-csv-feasible": (
+        ("lp", "--n", "9", "--K", "7/3", "--d", "4", "--format", "csv"),
+        "e5b618a0251df99892155934708cc0f43c312f56c1bd786868daf6075b10c053"),
+    "lp-csv-infeasible": (
+        ("lp", "--n", "9", "--K", "181/16", "--d", "4", "--format", "csv"),
+        "c8ef4c0614f0f0723cd1b0ec29e3dbd575b33419631ed53ee5c55b759a9e1163"),
+    "analyze-csv-five-qubit": (
+        ("analyze", "five_qubit.code", "--format", "csv"),
+        "00422df06f97b8f341c99f29df7cc5a79f71994821527cf125dcae32cbb0fadf"),
+    "check-json-degenerate-hamming-k1-0": (
+        ("check", "--n", "5", "--k", "1", "--d", "3",
+         "--bounds", "degenerate_hamming", "--k0", "2", "--k1", "0"),
+        "ffc954423a2deb577877f178af2592a5963b3c8d3f87381c3685363269231709"),
+    "check-json-degenerate-hamming-k1-2": (
+        ("check", "--n", "5", "--k", "1", "--d", "3",
+         "--bounds", "degenerate_hamming", "--k0", "1", "--k1", "2"),
+        "f084ed13388f94f86bb889540e80741311d59c42a6021beb4ecde9540ee61fae"),
+}
+
 
 @pytest.fixture()
 def five_qubit_file(tmp_path):
@@ -448,6 +480,16 @@ def test_golden_curves(capsys, tmp_path, monkeypatch, key):
             assert code == 0
             outs.append(out)
     assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == GOLDEN_CURVES[key]
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_RENDER))
+def test_golden_render(capsys, tmp_path, monkeypatch, label):
+    argv, digest = GOLDEN_RENDER[label]
+    # a relative path, so the echoed file name does not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "five_qubit.code").write_text(fixture_text("five_qubit.code"), encoding="utf-8")
+    assert stdout_digest(capsys, *argv) == digest
+
 
 @pytest.mark.parametrize("bounds", ["singleton,hamming,levenshtein", "lp"])
 @pytest.mark.parametrize("K", ["-1", "0"])

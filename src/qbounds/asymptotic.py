@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ParameterError, SolverError
 
@@ -224,8 +223,7 @@ def load_classical_bound_csv(path: str) -> ClassicalBound:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     delta: float
     rate: float
 

@@ -20,7 +20,8 @@ that ``argv[0]`` names and no other; any other argv gets every subparser,
 so help texts and error lines read the same either way.  Only ``check``,
 ``table``, ``lp`` and ``selftest`` import ``bounds``, only ``analyze``
 ``gf4``, only ``curves`` ``asymptotic`` and only ``selftest`` its suite, so
-each command starts without the layers it does not run.
+each command starts without the layers it does not run; ``fractions`` loads
+only where a K is parsed or a Fraction printed, so never for ``curves``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
@@ -44,6 +43,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from . import bounds
 
 EXIT_OK = 0
@@ -82,19 +83,10 @@ K_BITS_CAP = 4096
 K_DIGITS_CAP = 4096
 
 
-def _fmt(value) -> object:
-    """JSON-friendly rendering; Fractions become 'p/q' strings."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    return value
-
-
 def _query_K(k: int | None, text: str | None) -> Fraction:
     """K = 2^k or the positive rational ``text``; refused past the size cap before it is formed."""
+    from fractions import Fraction
+
     if k is not None:
         bits = abs(k) + 1
     else:
@@ -145,7 +137,7 @@ def _verdict_payload(v: bounds.BoundVerdict) -> dict:
     payload = {
         "bound": v.bound_name,
         "applicable": v.applicable,
-        "value_on_2nK": _fmt(v.value_on_2nK),
+        "value_on_2nK": v.value_on_2nK,
         "k_max": v.k_max,
         "passed": v.passed,
     }
@@ -154,15 +146,24 @@ def _verdict_payload(v: bounds.BoundVerdict) -> dict:
     if v.notes:
         payload["notes"] = list(v.notes)
     if v.details:
-        payload["details"] = _fmt(v.details)
+        payload["details"] = v.details
     return payload
+
+
+def _json_default(value) -> str:
+    """A Fraction renders as 'p/q'; any other value json cannot encode is refused."""
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def _emit(payload: dict, fmt: str, meta: bool) -> None:
     if meta:
         payload = {"meta": {"tool": "qbounds", "version": __version__}, **payload}
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=_json_default))
     else:
         for line in _flatten_csv(payload):
             print(line)
@@ -174,10 +175,10 @@ def _flatten_csv(payload: dict, prefix: str = "") -> list[str]:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             lines.extend(_flatten_csv(value, prefix=f"{name}."))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif isinstance(value, (list, tuple)) and value and isinstance(value[0], dict):
             for i, item in enumerate(value):
                 lines.extend(_flatten_csv(item, prefix=f"{name}[{i}]."))
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             lines.append(f"{name},{' '.join(str(v) for v in value)}")
         else:
             lines.append(f"{name},{value}")
@@ -225,7 +226,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
     best = bounds.strongest(verdicts)
     payload = {
-        "query": {"n": n, "K": _fmt(K), "d": d},
+        "query": {"n": n, "K": K, "d": d},
         "verdicts": [_verdict_payload(v) for v in verdicts],
         "strongest": best.bound_name if best else None,
     }
@@ -294,11 +295,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "transform_identity": "verified",
         },
         "reduction_targets": [
-            {**asdict(t), "relation": "quantum d <= classical d"}
+            {**vars(t), "relation": "quantum d <= classical d"}
             for t in gf4.reduction_targets(sf)
         ],
         "reduction_witnesses": [
-            {**asdict(w.target), "distance": w.distance, "sound": w.distance >= params.d}
+            {**vars(w.target), "distance": w.distance, "sound": w.distance >= params.d}
             for w in gf4.reduction_witnesses(code)
         ],
     }
@@ -311,18 +312,13 @@ def cmd_lp(args: argparse.Namespace) -> int:
 
     K = _query_K(None, args.K)
     result, critical = bounds.lp_feasible_and_critical_K(args.n, K, args.d)
-    payload: dict = {
-        "n": args.n,
-        "K": _fmt(K),
-        "d": args.d,
-        "feasible": result.feasible,
-    }
+    payload: dict = {"n": args.n, "K": K, "d": args.d, "feasible": result.feasible}
     if result.feasible:
-        payload["witness_B"] = _fmt(result.witness_B)
-        payload["witness_A"] = _fmt(result.witness_A)
+        payload["witness_B"] = result.witness_B
+        payload["witness_A"] = result.witness_A
     else:
-        payload["certificate"] = _fmt(result.certificate)
-    payload["critical_K"] = _fmt(critical) if critical is not None else None
+        payload["certificate"] = result.certificate
+    payload["critical_K"] = critical
     _emit(payload, args.format, args.meta)
     return EXIT_OK
 

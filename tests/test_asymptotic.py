@@ -288,6 +288,17 @@ def test_curves_reproducible():
     assert first == second
 
 
+def test_curve_point_is_a_read_only_delta_rate_pair():
+    point = curve_stabilizer("E", samples=17)[3]
+    delta, rate = point
+    assert (delta, rate) == (point.delta, point.rate)
+    assert asymptotic.CurvePoint(0.25, 0.5).delta == 0.25
+    assert asymptotic.CurvePoint(delta=0.25, rate=0.5).rate == 0.5
+    for field in ("delta", "rate"):
+        with pytest.raises(AttributeError):
+            setattr(point, field, 0.0)
+
+
 def test_hamming_degenerate_limits_and_crosscheck():
     points = curve_hamming_degenerate(751)
     assert points[0].rate == pytest.approx(1.0, abs=1e-6)

@@ -491,6 +491,23 @@ def test_golden_render(capsys, tmp_path, monkeypatch, label):
     assert stdout_digest(capsys, *argv) == digest
 
 
+def test_emit_renders_fractions_inside_tuples(capsys):
+    payload = {"query": {"K": F(7, 3), "B": (F(1), F(1, 2), 3)}, "rows": ({"x": F(-1, 4)},)}
+    cli._emit(payload, "json", meta=False)
+    assert json.loads(capsys.readouterr().out) == {
+        "query": {"K": "7/3", "B": ["1", "1/2", 3]}, "rows": [{"x": "-1/4"}],
+    }
+    cli._emit(payload, "csv", meta=False)
+    assert capsys.readouterr().out == "query.K,7/3\nquery.B,1 1/2 3\nrows[0].x,-1/4\n"
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, 1j, b"K"])
+def test_emit_refuses_values_json_cannot_encode(capsys, value):
+    with pytest.raises(TypeError):
+        cli._emit({"K": F(1, 2), "value": value}, "json", meta=False)
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("bounds", ["singleton,hamming,levenshtein", "lp"])
 @pytest.mark.parametrize("K", ["-1", "0"])
 def test_check_rejects_nonpositive_K(capsys, bounds, K):

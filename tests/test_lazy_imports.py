@@ -57,20 +57,23 @@ def test_import_qbounds_loads_no_layer():
 
 # check, table, lp and selftest alone run bounds
 LOADS_BOUNDS = {"qbounds.bounds", "qbounds.cli"}
+# the commands that parse or print a rational K load fractions too; curves
+# forms no Fraction and no dataclass
+LOADS_FRACTIONS = LOADS_BOUNDS | {"fractions"}
+NOT_LOADED_BY_CURVES = ("qbounds.bounds", "fractions", "decimal", "dataclasses") + NOT_LOADED
 
 
 @pytest.mark.parametrize("argv, loaded, unused", [
     pytest.param(
         ("check", "--n", "6", "--k", "1", "--d", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
-        LOADS_BOUNDS, NOT_LOADED_OUTSIDE_CURVES, id="check"),
+        LOADS_FRACTIONS, NOT_LOADED_OUTSIDE_CURVES, id="check"),
     pytest.param(
         ("table", "--n-max", "6", "--d-max", "3", "--bounds", "singleton,hamming,levenshtein,lp"),
         LOADS_BOUNDS, NOT_LOADED_OUTSIDE_CURVES, id="table"),
-    pytest.param(("lp", "--n", "6", "--K", "2", "--d", "3"), LOADS_BOUNDS, NOT_LOADED_OUTSIDE_CURVES,
-                 id="lp"),
+    pytest.param(("lp", "--n", "6", "--K", "2", "--d", "3"), LOADS_FRACTIONS,
+                 NOT_LOADED_OUTSIDE_CURVES, id="lp"),
     pytest.param(("curves", "--id", "fig2", "--kappa1", "0.2", "--samples", "5"),
-                 {"qbounds.asymptotic", "qbounds.cli"}, ("qbounds.bounds",) + NOT_LOADED,
-                 id="curves"),
+                 {"qbounds.asymptotic", "qbounds.cli"}, NOT_LOADED_BY_CURVES, id="curves"),
 ])
 def test_command_leaves_unused_layers_unloaded(argv, loaded, unused):
     report = probe(RUN_COMMAND, *argv)

@@ -144,7 +144,7 @@ def _verdict_payload(v: bounds.BoundVerdict) -> dict:
     if v.reason:
         payload["reason"] = v.reason
     if v.notes:
-        payload["notes"] = list(v.notes)
+        payload["notes"] = v.notes
     if v.details:
         payload["details"] = v.details
     return payload
@@ -290,8 +290,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "degenerate": params.degenerate,
         "standard_form": {"k0": sf.k0, "k1": sf.k1},
         "enumerators": {
-            "A": list(pair.A),
-            "B": list(pair.B),
+            "A": pair.A,
+            "B": pair.B,
             "transform_identity": "verified",
         },
         "reduction_targets": [

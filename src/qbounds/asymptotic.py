@@ -50,10 +50,12 @@ CURVE_IDS = ("A", "B", "D", "E", "hamming-degenerate", "fig2")
 def _kernels(q: int) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """Unchecked (H_q, gamma_q) for one alphabet size; a curve uses one or two.
 
-    log q, log(q - 1), q - 1 and q - 2 are bound once per q.  Neither
-    function checks its argument: ``entropy_q`` and ``gamma_q`` check it
+    q is checked, and log q, log(q - 1), q - 1 and q - 2 bound, once per q.
+    Neither function checks its argument: ``entropy_q`` and ``gamma_q`` do
     and call these, and the curve loops call them only inside [0, 1].
     """
+    if q < 2:
+        raise ParameterError(f"alphabet size q must be >= 2, got {q}")
     logq, log_q1 = math.log(q), math.log(q - 1)
     q1, q2 = q - 1, q - 2
     log, sqrt = math.log, math.sqrt
@@ -74,20 +76,18 @@ def _kernels(q: int) -> tuple[Callable[[float], float], Callable[[float], float]
 
 def entropy_q(x: float, q: int = 4) -> float:
     """q-ary entropy H_q(x) with H_q(0) = 0 and H_q(1) = log_q(q-1)."""
-    if q < 2:
-        raise ParameterError(f"alphabet size q must be >= 2, got {q}")
+    entropy = _kernels(q)[0]
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"entropy argument {x} outside [0, 1]")
-    return _kernels(q)[0](x)
+    return entropy(x)
 
 
 def gamma_q(x: float, q: int = 4) -> float:
     """gamma_q(x); maps 0 -> (q-1)/q and (q-1)/q -> 0, strictly decreasing."""
-    if q < 2:
-        raise ParameterError(f"alphabet size q must be >= 2, got {q}")
+    gamma = _kernels(q)[1]
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"gamma argument {x} outside [0, 1]")
-    return _kernels(q)[1](x)
+    return gamma(x)
 
 
 def _bisect(pred: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
@@ -130,10 +130,8 @@ ClassicalBound = Callable[[float], float]
 
 def first_lp_bound(q: int = 4) -> ClassicalBound:
     """R(delta) = H_q(gamma_q(delta)), rate 0 beyond delta = (q-1)/q."""
-    if q < 2:
-        raise ParameterError(f"alphabet size q must be >= 2, got {q}")
-    top = (q - 1) / q
     entropy, gamma = _kernels(q)
+    top = (q - 1) / q
 
     def bound(delta: float) -> float:
         if delta <= 0.0:

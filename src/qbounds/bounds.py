@@ -59,13 +59,6 @@ def floor_log2(x: Fraction) -> int:
     return m if at_least else m - 1
 
 
-def ceil_log2(x: Fraction) -> int:
-    m = floor_log2(x)
-    p, q = x.numerator, x.denominator
-    exact = (q << m) == p if m >= 0 else q == (p << -m)
-    return m if exact else m + 1
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -538,7 +531,7 @@ def mixed_hamming_check(l: int, n_total: int, dim: int, d: int) -> BoundVerdict:
             "ball": ball,
             "rhs": rhs,
             "radius": e,
-            "dim_max": 2 * n_total - l - ceil_log2(Fraction(ball)),
+            "dim_max": 2 * n_total - l - (ball - 1).bit_length(),  # ceil(log2 ball)
         },
     )
     if d % 2 == 0:

@@ -152,9 +152,7 @@ def _verdict_payload(v: bounds.BoundVerdict) -> dict:
 
 def _json_default(value) -> str:
     """A Fraction renders as 'p/q'; any other value json cannot encode is refused."""
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
+    if hasattr(value, "denominator"):  # json encodes ints itself, so only a Fraction
         return str(value)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 

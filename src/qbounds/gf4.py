@@ -245,10 +245,10 @@ class AdditiveCode:
 def _basis_code(n: int, rows: Iterable[int]) -> AdditiveCode:
     """The code spanned by ``rows``, independent and of length n by construction.
 
-    For bases the package builds itself (a reduced echelon basis, or one
-    restricted to columns where its rows hold all their bits), the
-    constructor's checks, its rank re-check above all, would only repeat
-    what the construction guarantees; every other input goes through them.
+    For bases the package builds itself (a reduced echelon basis, one
+    restricted to columns where its rows hold all their bits, or rows that
+    :func:`_insert` took one by one), the constructor's checks, its rank
+    re-check above all, would only repeat what the construction guarantees.
     """
     code = object.__new__(AdditiveCode)
     object.__setattr__(code, "n", n)
@@ -293,7 +293,7 @@ def parse_code(text: str) -> AdditiveCode:
             rows.append(v)
     if n is None:
         raise ParseError("no generator rows found")
-    return AdditiveCode(n, tuple(rows))
+    return _basis_code(n, rows)
 
 
 def _parse_row(piece: str, lineno: int) -> list[int]:
@@ -545,7 +545,9 @@ class StandardForm:
     and row k0 + j symbol w at pair-pivot column ``permutation[j]``, where
     every other row is 0; row 2 * k0 + j has symbol ``line_pivots[j]`` at
     line-pivot column ``permutation[k0 + j]`` and is 0 at every pair-pivot
-    column.
+    column.  ``pivot_bits[i]`` is row i's pivot bit: the X, then the Z bit
+    of each pair pivot, then the high bit of each line pivot's symbol.
+    Keyed by them, ``rows`` is a reduced echelon basis of the code.
     """
 
     n: int
@@ -554,6 +556,7 @@ class StandardForm:
     rows: tuple[int, ...]
     permutation: tuple[int, ...]
     line_pivots: tuple[int, ...]
+    pivot_bits: tuple[int, ...]
 
     @property
     def k(self) -> int:
@@ -572,9 +575,7 @@ def standard_form(code: AdditiveCode) -> StandardForm:
     line pivots the columns where a row's lowest nonzero symbol sits.  Row
     operations are GF(2) additions only; no coordinate is rescaled, so a
     line pivot keeps whatever symbol the code provides (recorded in
-    ``line_pivots``).  Keyed by pivot bit (the X and Z bits of a pair pivot,
-    the high bit of a line pivot's symbol), ``rows`` is a reduced echelon
-    basis of the code.
+    ``line_pivots``), and each row's pivot bit in ``pivot_bits``.
     """
     n = code.n
     remaining = list(code.generators)
@@ -625,6 +626,7 @@ def standard_form(code: AdditiveCode) -> StandardForm:
         rows=tuple(rows),
         permutation=tuple(used + [c for c in range(n) if c not in used]),
         line_pivots=tuple(pivots),
+        pivot_bits=(*k0_cols, *(n + c for c in k0_cols), *bits),
     )
 
 
@@ -674,11 +676,7 @@ def complementary_code(code: AdditiveCode) -> ComplementaryCode | None:
         return None
     sf = code.form
     k0, cols = sf.k0, sf.permutation
-    # sf.rows keyed by pivot bit: X then Z bit of each pair pivot, then the
-    # high bit of each line pivot's symbol; a reduced echelon basis of C
-    bits = [*cols[:k0], *(n + c for c in cols[:k0])]
-    bits += [c + n * (alpha >> 1) for c, alpha in zip(cols[k0:], sf.line_pivots)]
-    basis = dict(zip(bits, sf.rows))
+    basis = dict(zip(sf.pivot_bits, sf.rows))
     reduced = _complement(code, basis)
     if any((v >> p) & 1 for v in reduced for p in basis):
         raise InvariantError("complement row keeps a pivot bit of C")
@@ -843,7 +841,7 @@ def random_self_orthogonal_code(
     basis: dict[int, int] = {}
     while len(gens) < rank:
         if gens:
-            dual = symplectic_dual(AdditiveCode(n, tuple(gens)))
+            dual = symplectic_dual(_basis_code(n, gens))
             pool = dual.generators
         else:
             pool = tuple(1 << j for j in range(2 * n))
@@ -857,4 +855,4 @@ def random_self_orthogonal_code(
                 break
         else:
             raise InvariantError("failed to extend self-orthogonal code")
-    return AdditiveCode(n, tuple(gens))
+    return _basis_code(n, gens)

@@ -9,7 +9,9 @@ per-word minimum loop of ``min_nonzero_weight``, all unchanged apart from
 imports, ``words`` turning from a method into a function and
 ``gf2_echelon(code.generators)`` standing for the removed
 ``AdditiveCode.echelon``, and the minimum loop of ``binary_s_code`` as a
-function of its rows.
+function of its rows.  The Gray-code walk and the symplectic weight they
+count with are this module's own, so its counts share no code with the
+library's.
 
 Below them is the reduction layer the library replaced with eliminations
 on int words: the standard form, the complementary code and the
@@ -39,12 +41,29 @@ from qbounds.gf4 import (
     _require_self_orthogonal,
     gf2_echelon,
     gf2_rank,
-    iter_span,
     split_halves,
     symbols_to_int,
     symplectic_dual,
-    symplectic_weight,
 )
+
+
+def iter_span(generators: Sequence[int]) -> Iterator[int]:
+    """All GF(2) combinations of the generators, in Gray-code order from 0.
+
+    Step i flips the generator at the one bit where the Gray codes
+    i ^ (i >> 1) of i - 1 and i differ.
+    """
+    v = 0
+    yield v
+    for i in range(1, 1 << len(generators)):
+        flipped = (i ^ (i >> 1)) ^ ((i - 1) ^ ((i - 1) >> 1))
+        v ^= generators[flipped.bit_length() - 1]
+        yield v
+
+
+def symplectic_weight(v: int, n: int) -> int:
+    """The number of coordinates whose X or Z bit is set."""
+    return bin((v | v >> n) & ((1 << n) - 1)).count("1")
 
 
 def words(code: AdditiveCode) -> Iterator[int]:

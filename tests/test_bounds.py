@@ -14,7 +14,6 @@ from krawtchouk_oracle import singleton_polynomial
 from qbounds import bounds
 from qbounds.bounds import (
     LP_SIZE_CAP,
-    ceil_log2,
     check_conditions,
     degenerate_hamming_check,
     floor_log2,
@@ -53,16 +52,20 @@ def test_floor_ceil_log2():
     assert floor_log2(F(64)) == 6
     assert floor_log2(F(63)) == 5
     assert floor_log2(F(1, 3)) == -2
-    assert ceil_log2(F(64)) == 6
-    assert ceil_log2(F(65)) == 7
-    assert ceil_log2(F(1)) == 0
     big = [F(2**300), F(2**300 - 1), F(2**300 + 1), F(1, 2**301), F(1, 2**301 - 1),
            F(3**200, 5**130), F(5**130, 3**200), F(2**400 + 1, 2**100 - 1)]
     small = [F(p, q) for p in range(1, 201) for q in range(1, 201)]
     for x in small + big:
-        m, c = floor_log2(x), ceil_log2(x)
+        m = floor_log2(x)
         assert F(2) ** m <= x < F(2) ** (m + 1)
-        assert F(2) ** (c - 1) < x <= F(2) ** c
+    # mixed_hamming_check takes the ceiling of log2 of its integer ball itself:
+    # dim_max = 2n - l - ceil(log2 ball)
+    for n in range(1, 9):
+        for l in range(n + 1):
+            for d in range(1, n + 2):
+                details = mixed_hamming_check(l, n, 0, d).details
+                room = 2 * n - l - details["dim_max"]
+                assert 2 ** (room - 1) < details["ball"] <= 2 ** room
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +542,7 @@ def test_mixed_hamming_check_five_qubit_instance():
     v = mixed_hamming_check(0, 3, 2, 3)
     assert v.passed
     assert v.details["ball"] == 10 and v.details["rhs"] == 16
+    assert v.details["dim_max"] == 2
 
 
 def test_mixed_hamming_check_parameter_errors():

@@ -915,6 +915,7 @@ def test_standard_form_rows_are_a_reduced_echelon_basis():
         keys = [*pair, *(n + c for c in pair)]
         keys += [n + c if alpha & 2 else c for c, alpha in zip(line, sf.line_pivots)]
         assert len(set(keys)) == len(keys) == len(sf.rows) == code.rank
+        assert sf.pivot_bits == tuple(keys)
         for key, row in zip(keys, sf.rows):
             assert [(row >> p) & 1 for p in keys] == [int(p == key) for p in keys]
         assert gf2_echelon(sf.rows) == gf2_echelon(code.generators)

@@ -17,10 +17,9 @@ is rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError
 from .exact import (
@@ -64,7 +63,6 @@ def floor_log2(x: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BoundVerdict:
     """Outcome of one bound: exact value on 2^n K and derived k ceiling.
 
@@ -72,14 +70,21 @@ class BoundVerdict:
     is filled only when the verdict was evaluated against a queried code.
     """
 
-    bound_name: str
-    applicable: bool
-    value_on_2nK: Fraction | None = None
-    k_max: int | None = None
-    passed: bool | None = None
-    reason: str = ""
-    notes: tuple[str, ...] = ()
-    details: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        bound_name: str,
+        applicable: bool,
+        value_on_2nK: Fraction | None = None,
+        k_max: int | None = None,
+        passed: bool | None = None,
+        reason: str = "",
+        notes: tuple[str, ...] = (),
+        details: dict | None = None,
+    ) -> None:
+        self.bound_name, self.applicable = bound_name, applicable
+        self.value_on_2nK, self.k_max, self.passed = value_on_2nK, k_max, passed
+        self.reason, self.notes = reason, notes
+        self.details = {} if details is None else details
 
     def allows_K(self, n: int, K: Fraction) -> bool | None:
         if not self.applicable or self.value_on_2nK is None:
@@ -96,8 +101,7 @@ class BoundVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeasiblePolynomial:
+class FeasiblePolynomial(NamedTuple):
     """A polynomial checked against the sign conditions of the method.
 
     ``accepted`` is False when any condition fails; every violated index is
@@ -312,8 +316,7 @@ def levenshtein_bound(n: int, d: int) -> BoundVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LPVerdict:
+class LPVerdict(NamedTuple):
     """Feasibility of a nondegenerate enumerator pair at (n, K, d).
 
     Feasible: ``witness_B`` is a distribution satisfying every constraint

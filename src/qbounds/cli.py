@@ -293,11 +293,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "transform_identity": "verified",
         },
         "reduction_targets": [
-            {**vars(t), "relation": "quantum d <= classical d"}
+            {**t._asdict(), "relation": "quantum d <= classical d"}
             for t in gf4.reduction_targets(sf)
         ],
         "reduction_witnesses": [
-            {**vars(w.target), "distance": w.distance, "sound": w.distance >= params.d}
+            {**w.target._asdict(), "distance": w.distance, "sound": w.distance >= params.d}
             for w in gf4.reduction_witnesses(code)
         ],
     }

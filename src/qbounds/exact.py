@@ -36,7 +36,6 @@ of x) places x against the smallest root of every P_k at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -134,7 +133,6 @@ def krawtchouk_values(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExactPolynomial:
     """A univariate polynomial with exact rational coefficients.
 
@@ -143,23 +141,18 @@ class ExactPolynomial:
     degree-<=n space spanned by P_0 .. P_n) and ``q`` the alphabet size.
     """
 
-    coeffs: tuple[Fraction, ...]
-    n: int
-    q: int = 4
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ParameterError(f"ambient length must be nonnegative, got {self.n}")
-        if self.q < 2:
-            raise ParameterError(f"alphabet size q must be >= 2, got {self.q}")
-        cleaned = [Fraction(c) for c in self.coeffs]
+    def __init__(self, coeffs: Sequence[Fraction | int], n: int, q: int = 4) -> None:
+        if n < 0:
+            raise ParameterError(f"ambient length must be nonnegative, got {n}")
+        if q < 2:
+            raise ParameterError(f"alphabet size q must be >= 2, got {q}")
+        cleaned = [Fraction(c) for c in coeffs]
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
-        if len(cleaned) - 1 > self.n:
-            raise ParameterError(
-                f"degree {len(cleaned) - 1} exceeds ambient length {self.n}"
-            )
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        if len(cleaned) - 1 > n:
+            raise ParameterError(f"degree {len(cleaned) - 1} exceeds ambient length {n}")
+        self.coeffs: tuple[Fraction, ...] = tuple(cleaned)
+        self.n, self.q = n, q
 
     @property
     def degree(self) -> int:
@@ -173,21 +166,15 @@ class ExactPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
 class KrawtchoukExpansion:
     """Coefficients f_0 .. f_n of an expansion f(x) = sum f_t P_t(x, n)."""
 
-    coeffs: tuple[Fraction, ...]
-    n: int
-    q: int = 4
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.n + 1:
-            raise ParameterError(
-                f"expected {self.n + 1} Krawtchouk coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, coeffs: Sequence[Fraction | int], n: int, q: int = 4) -> None:
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != n + 1:
+            raise ParameterError(f"expected {n + 1} Krawtchouk coefficients, got {len(coeffs)}")
+        self.coeffs: tuple[Fraction, ...] = coeffs
+        self.n, self.q = n, q
 
     @classmethod
     def from_values(

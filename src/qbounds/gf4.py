@@ -19,17 +19,13 @@ bit 1 = b); no elimination works on lists of symbols.
 
 from __future__ import annotations
 
-import mmap
 import os
-import signal
 import sys
-from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import add, or_, xor
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CapacityError,
@@ -195,27 +191,29 @@ def iter_span(generators: Sequence[int]) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AdditiveCode:
     """An additive GF(4) code given by independent generators.
 
     ``generators`` are 2n-bit ints as described in the module docstring.
     The code is their GF(2) span; rank equals log2 of the code size.
+    Codes with the same length and generators compare equal.
     """
 
-    n: int
-    generators: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"code length must be >= 1, got {self.n}")
-        gens = tuple(int(g) for g in self.generators)
+    def __init__(self, n: int, generators: Iterable[int]) -> None:
+        if n < 1:
+            raise ParameterError(f"code length must be >= 1, got {n}")
+        gens = tuple(int(g) for g in generators)
         for g in gens:
-            if g < 0 or g >> (2 * self.n):
-                raise ParameterError(f"generator 0x{g:x} does not fit length {self.n}")
+            if g < 0 or g >> (2 * n):
+                raise ParameterError(f"generator 0x{g:x} does not fit length {n}")
         if gf2_rank(gens) != len(gens):
             raise ParameterError("generators are linearly dependent")
-        object.__setattr__(self, "generators", gens)
+        self.n, self.generators = n, gens
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AdditiveCode):
+            return NotImplemented
+        return (self.n, self.generators) == (other.n, other.generators)
 
     @property
     def rank(self) -> int:
@@ -251,8 +249,7 @@ def _basis_code(n: int, rows: Iterable[int]) -> AdditiveCode:
     re-check above all, would only repeat what the construction guarantees.
     """
     code = object.__new__(AdditiveCode)
-    object.__setattr__(code, "n", n)
-    object.__setattr__(code, "generators", tuple(rows))
+    code.n, code.generators = n, tuple(rows)
     return code
 
 
@@ -332,8 +329,7 @@ def symplectic_dual(code: AdditiveCode) -> AdditiveCode:
     return _basis_code(code.n, basis)
 
 
-@dataclass(frozen=True)
-class QuantumParams:
+class QuantumParams(NamedTuple):
     """Stabilizer parameters recovered from a self-orthogonal code."""
 
     n: int
@@ -394,6 +390,10 @@ def _count_split(
     fork fails, when the child exits nonzero, or when the row does not sum
     to ``per_word`` counted words for each word of that half.
     """
+    import mmap  # only a split count needs these three
+    import signal
+    from array import array
+
     first, second = words[: len(words) // 2], words[len(words) // 2 :]
     totals = theirs = None
     try:
@@ -475,8 +475,7 @@ def _first_nonzero_weight(distribution: Sequence[int]) -> int | None:
     return next((i for i in range(1, len(distribution)) if distribution[i]), None)
 
 
-@dataclass(frozen=True)
-class EnumeratorPair:
+class EnumeratorPair(NamedTuple):
     """Weight distributions A of C and B of dual(C), with K = 2**k.
 
     The pair satisfies A_t = (1/(2^n K)) sum_i B_i P_t(i, n) exactly; the
@@ -535,8 +534,7 @@ def quantum_distance(code: AdditiveCode) -> QuantumParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(NamedTuple):
     """A code's generators sorted by pivot type, in the original coordinates.
 
     ``permutation`` lists the k0 pair-pivot columns, then the k1 line-pivot
@@ -635,8 +633,7 @@ def standard_form(code: AdditiveCode) -> StandardForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplementaryCode:
+class ComplementaryCode(NamedTuple):
     """Coset representatives generating dual(C) modulo C.
 
     ``code`` lives in the original coordinates: the :func:`gf2_echelon`
@@ -695,8 +692,7 @@ def min_nonzero_weight(code: AdditiveCode) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class ReductionTarget:
+class ReductionTarget(NamedTuple):
     """A classical code family whose best minimum distance upper-bounds d.
 
     ``dimension`` is log2 of the code size; ``restricted`` counts leading
@@ -731,8 +727,7 @@ def reduction_targets(sf: StandardForm) -> list[ReductionTarget]:
     return targets
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
+class ReductionWitness(NamedTuple):
     """A concrete classical code realizing a reduction target."""
 
     target: ReductionTarget
@@ -788,8 +783,7 @@ def reduction_witnesses(code: AdditiveCode) -> list[ReductionWitness]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinarySCode:
+class BinarySCode(NamedTuple):
     """Binary [n+k, 2k] code whose minimum distance dominates the quantum d.
 
     Rows are ints over ``length`` bit columns: the words of dual(C) that

@@ -63,23 +63,20 @@ sum B at the critical K, this removes the second phase 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantError
 from .exact import over_common_denominator
 
 
-@dataclass
-class LPSolution:
+class LPSolution(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: list[Fraction] | None = None
     objective: Fraction | None = None
     farkas: list[Fraction] | None = None
 
 
-@dataclass
 class _Dictionary:
     """An integer simplex dictionary over denominator d (see the module docstring).
 
@@ -88,19 +85,25 @@ class _Dictionary:
     ``rhs_scale`` is L / L_A, and ``cost`` the last :meth:`run`'s costs.
     ``unit[j] = (a, f)`` for each real variable j whose column is f times
     artificial a's; ``hidden`` holds those of them whose column is not
-    stored, the nonbasic ones that are not entering.
+    stored, the nonbasic ones that are not entering (all of them at the start).
     """
 
-    rows: list[list[int]]
-    basis: list[int]
-    nonbasic: list[int]
-    sign: list[int]
-    rhs_scale: int
-    d: int
-    red: list[int] = field(default_factory=list)
-    cost: Sequence[int] = ()
-    unit: dict[int, tuple[int, int]] = field(default_factory=dict)
-    hidden: dict[int, tuple[int, int]] = field(default_factory=dict)
+    def __init__(
+        self,
+        rows: list[list[int]],
+        basis: list[int],
+        nonbasic: list[int],
+        sign: list[int],
+        rhs_scale: int,
+        d: int,
+        unit: dict[int, tuple[int, int]] | None = None,
+    ) -> None:
+        self.rows, self.basis, self.nonbasic, self.sign = rows, basis, nonbasic, sign
+        self.rhs_scale, self.d = rhs_scale, d
+        self.red: list[int] = []
+        self.cost: Sequence[int] = ()
+        self.unit = unit or {}
+        self.hidden = dict(self.unit)
 
     @classmethod
     def phase1_start(
@@ -127,7 +130,7 @@ class _Dictionary:
             for i, (_, s, r) in enumerate(zip(A, sign, rhs, strict=True))
         ]
         basis = list(range(nv, nv + len(rows)))
-        return cls(rows, basis, nonbasic, sign, rhs_scale, d=1, unit=unit, hidden=dict(unit))
+        return cls(rows, basis, nonbasic, sign, rhs_scale, d=1, unit=unit)
 
     @property
     def nreal(self) -> int:

@@ -374,11 +374,10 @@ PERTURBATIONS = ["x", "objective", "objective = 1", "objective = 2"]
 
 def _perturb(sol, perturb):
     if perturb == "x":
-        sol.x[0] += 1
-    elif perturb == "objective":
-        sol.objective -= 1
-    else:
-        sol.objective = F(perturb.rpartition(" ")[2])
+        return sol._replace(x=[sol.x[0] + 1, *sol.x[1:]])
+    if perturb == "objective":
+        return sol._replace(objective=sol.objective - 1)
+    return sol._replace(objective=F(perturb.rpartition(" ")[2]))
 
 
 @pytest.mark.parametrize("perturb", PERTURBATIONS)
@@ -388,9 +387,7 @@ def test_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
     solve = simplex.solve_lp
 
     def perturbed(c, A, b):
-        sol = solve(c, A, b)
-        _perturb(sol, perturb)
-        return sol
+        return _perturb(solve(c, A, b), perturb)
 
     monkeypatch.setattr(simplex, "solve_lp", perturbed)
     with pytest.raises(InvariantError, match="critical-K witness"):
@@ -405,8 +402,7 @@ def test_warm_critical_K_refuses_a_wrong_optimum(monkeypatch, perturb):
 
     def perturbed(c, A, b):
         feasibility, freed = solve(c, A, b)
-        _perturb(freed, perturb)
-        return feasibility, freed
+        return feasibility, _perturb(freed, perturb)
 
     monkeypatch.setattr(simplex, "solve_lp_then_free_row0", perturbed)
     for K in (F(2), F(5)):  # feasible, then infeasible (the critical K is 24/5)

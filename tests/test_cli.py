@@ -620,8 +620,7 @@ def test_wrong_critical_K_exits_4(capsys, monkeypatch):
     for wrong in WRONG_OBJECTIVES:
         def perturbed(c, A, b, wrong=wrong):
             sol = solve(c, A, b)
-            sol.objective = wrong(sol.objective)
-            return sol
+            return sol._replace(objective=wrong(sol.objective))
 
         monkeypatch.setattr(simplex, "solve_lp", perturbed)
         code, out, err = run(capsys, "table", "--n-max", "3", "--d-max", "2", "--bounds", "lp")
@@ -637,8 +636,7 @@ def test_lp_wrong_critical_K_exits_4(capsys, monkeypatch, K):
     for wrong in WRONG_OBJECTIVES:
         def perturbed(c, A, b, wrong=wrong):
             feasibility, freed = solve(c, A, b)
-            freed.objective = wrong(freed.objective)
-            return feasibility, freed
+            return feasibility, freed._replace(objective=wrong(freed.objective))
 
         monkeypatch.setattr(simplex, "solve_lp_then_free_row0", perturbed)
         code, out, err = run(capsys, "lp", "--n", "7", "--K", K, "--d", "3")

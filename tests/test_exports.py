@@ -1,7 +1,6 @@
 """The package's public names change only on purpose."""
 
 import ast
-from dataclasses import fields
 from pathlib import Path
 
 import qbounds
@@ -31,9 +30,9 @@ def test_public_exports_are_pinned():
 
 
 def test_additive_code_attributes_are_pinned():
-    code = qbounds.AdditiveCode
-    public = {f.name for f in fields(code)}
-    public |= {name for name in vars(code) if not name.startswith("_")}
+    code = qbounds.AdditiveCode(1, ())
+    public = {name for name in vars(code) if not name.startswith("_")}
+    public |= {name for name in vars(qbounds.AdditiveCode) if not name.startswith("_")}
     assert sorted(public) == ["dual", "form", "generators", "is_self_orthogonal", "n", "rank"]
 
 

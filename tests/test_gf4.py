@@ -5,6 +5,7 @@ independent of the bitmask representation used by the library.
 """
 
 import itertools
+import mmap
 import os
 import random
 import threading
@@ -402,18 +403,18 @@ def test_split_count_forks_once_whatever_the_mask_holds(monkeypatch):
 
 
 def _shared_maps(monkeypatch):
-    """Replace gf4's mmap.mmap with a wrapper that records each map it creates."""
-    maps, real_map = [], gf4.mmap.mmap
+    """Replace mmap.mmap, which gf4 imports to split a count, with a recording wrapper."""
+    maps, real_map = [], mmap.mmap
 
     def shared_map(*args):
         maps.append(real_map(*args))
         return maps[-1]
 
-    monkeypatch.setattr(gf4.mmap, "mmap", shared_map)
+    monkeypatch.setattr(mmap, "mmap", shared_map)
     return maps
 
 
-@pytest.mark.parametrize("failing", [(gf4.mmap, "mmap"), (os, "fork")], ids=["map", "fork"])
+@pytest.mark.parametrize("failing", [(mmap, "mmap"), (os, "fork")], ids=["map", "fork"])
 def test_split_count_survives_a_failed_fork(monkeypatch, failing):
     def refuse(*args):
         raise OSError(11, "Resource temporarily unavailable")

@@ -23,6 +23,9 @@ FIVE_QUBIT = SRC / "qbounds" / "fixtures" / "five_qubit.code"
 # modules only `analyze` (gf4) or `selftest` (the suite, random) need, and
 # csv, which only a `curves --classical-bound` table needs
 NOT_LOADED = ("qbounds.gf4", "qbounds.selftest", "random", "csv")
+# no command loads these: the package's records are NamedTuples and plain
+# classes, and importing dataclasses would pull in inspect, ast, dis and tokenize
+NOT_LOADED_BY_ANY = ("dataclasses", "inspect")
 # and the one only `curves` needs
 NOT_LOADED_OUTSIDE_CURVES = NOT_LOADED + ("qbounds.asymptotic",)
 
@@ -58,9 +61,9 @@ def test_import_qbounds_loads_no_layer():
 # check, table, lp and selftest alone run bounds
 LOADS_BOUNDS = {"qbounds.bounds", "qbounds.cli"}
 # the commands that parse or print a rational K load fractions too; curves
-# forms no Fraction and no dataclass
+# forms no Fraction
 LOADS_FRACTIONS = LOADS_BOUNDS | {"fractions"}
-NOT_LOADED_BY_CURVES = ("qbounds.bounds", "fractions", "decimal", "dataclasses") + NOT_LOADED
+NOT_LOADED_BY_CURVES = ("qbounds.bounds", "fractions", "decimal") + NOT_LOADED
 
 
 @pytest.mark.parametrize("argv, loaded, unused", [
@@ -79,15 +82,16 @@ def test_command_leaves_unused_layers_unloaded(argv, loaded, unused):
     report = probe(RUN_COMMAND, *argv)
     assert report["status"] == 0
     assert loaded <= set(report["loaded"])
-    assert [m for m in unused if m in report["loaded"]] == []
+    assert [m for m in unused + NOT_LOADED_BY_ANY if m in report["loaded"]] == []
 
 
 def test_analyze_loads_gf4():
     report = probe(RUN_COMMAND, "analyze", str(FIVE_QUBIT))
     assert report["status"] == 0 and "qbounds.gf4" in report["loaded"]
-    # bounds and every module of NOT_LOADED_OUTSIDE_CURVES but gf4
-    unused = ("qbounds.bounds",) + NOT_LOADED_OUTSIDE_CURVES[1:]
-    assert [m for m in unused if m in report["loaded"]] == []
+    # bounds, every module of NOT_LOADED_OUTSIDE_CURVES but gf4, and the
+    # modules only a count split across a forked child needs
+    unused = ("qbounds.bounds",) + NOT_LOADED_OUTSIDE_CURVES[1:] + ("mmap", "signal", "array")
+    assert [m for m in unused + NOT_LOADED_BY_ANY if m in report["loaded"]] == []
 
 
 def test_split_count_forks_without_warnings_or_pools(tmp_path):
@@ -122,6 +126,7 @@ def test_selftest_passes_from_a_fresh_interpreter():
     report = probe(RUN_COMMAND, "selftest")
     assert report["status"] == 0
     assert {"qbounds.selftest", "qbounds.bounds"} <= set(report["loaded"])
+    assert [m for m in NOT_LOADED_BY_ANY if m in report["loaded"]] == []
 
 
 def test_every_export_is_its_defining_module_object():

@@ -368,6 +368,31 @@ def test_help_and_version_exit_0(capsys, flag):
     assert stop.value.code == 0 and captured.out and captured.err == ""
 
 
+# sha256 of `qbounds --help` and `qbounds <command> --help` stdout at COLUMNS=80,
+# recorded while cli imported argparse at module level and built a parser for
+# every command line: help text must stay byte-identical.
+GOLDEN_HELP = {
+    None: "1cb7b6472758b54a92525a04ce26697b68032f48a67949ff801fdd2a742f49d1",
+    "check": "72027d0c347a2e9747d6ccc7c426180bc97811afa256a894646bb7a3347ac3a6",
+    "table": "33c00b6d00cf1498c9b811a701886a9ece8db155391492845a646173dbb25a8f",
+    "analyze": "1ab015f60167bb4ac396066da5ed1f9e8a535aa2a3d9be2133acee3433c81bf9",
+    "lp": "d76da7629c1a1c1f6cfe6c1197d49b111e58cd352063a5ee6e43fa6fd74e5291",
+    "curves": "3583923165cd3550d26dcc293e5f3950e49236d974c9a7edaf5f709eed7ff20f",
+    "selftest": "6026c43e8c2962410cabe10876bb0ba946ea6cf810609ff1e7f810750db2e7d1",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_HELP, ids=lambda c: c or "qbounds")
+def test_golden_help(capsys, monkeypatch, command):
+    assert sorted(GOLDEN_HELP, key=str) == sorted([None, *COMMANDS], key=str)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"] if command else ["--help"])
+    captured = capsys.readouterr()
+    assert stop.value.code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == GOLDEN_HELP[command]
+
+
 def _stderr_uses(tree):
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and node.attr == "stderr" and isinstance(node.value, ast.Name)

@@ -15,9 +15,13 @@ deterministic: no timestamps; ``--meta`` adds fixed provenance headers.
 Rationals render as 'p/q'.
 
 Each command is one row of ``COMMANDS`` (help text, argument adder,
-handler), and ``main`` builds the parser with the subparser of the command
-that ``argv[0]`` names and no other; any other argv gets every subparser,
-so help texts and error lines read the same either way.  Only ``check``,
+handler).  ``main`` first reads a canonical command line (full option
+names, each once with its value) itself, from what the command's adder
+declares, and then needs no parser, so such a command loads neither
+``argparse`` nor ``gettext`` nor ``shutil``.  Any other argv goes to
+argparse: the parser with the subparser of the command that ``argv[0]``
+names and no other, or every subparser if it names none, so help texts and
+error lines read the same either way.  Only ``check``,
 ``table``, ``lp`` and ``selftest`` import ``bounds``, only ``analyze``
 ``gf4``, only ``curves`` ``asymptotic`` and only ``selftest`` its suite, so
 each command starts without the layers it does not run; ``fractions`` loads
@@ -26,10 +30,10 @@ only where a K is parsed or a Fraction printed, so never for ``curves``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
@@ -43,6 +47,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
 
     from . import bounds
@@ -356,13 +361,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises its usage errors for ``main`` to report."""
-
-    def error(self, message: str):
-        raise ParameterError(f"{self.prog}: {message}")
-
-
 def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     size = p.add_mutually_exclusive_group(required=True)
@@ -428,6 +426,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     ``command`` None or a name that is no command gets every subparser, so
     ``--help`` and the usage errors of a bad command list them all.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser that raises its usage errors for ``main`` to report."""
+
+        def error(self, message: str):
+            raise ParameterError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="qbounds",
         description="Exact upper bounds for quantum error-correcting code parameters.",
@@ -442,10 +448,154 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+class _Unreadable(Exception):
+    """An argument adder declared something ``read_canonical`` does not read."""
+
+
+# add_argument keywords the reader reads; help and metavar shape only --help
+_READ_KEYWORDS = frozenset({"type", "choices", "default", "required", "dest", "help", "metavar"})
+_POSITIONAL_KEYWORDS = frozenset({"type", "choices", "help", "metavar"})
+
+
+class _Declared:
+    """What an argument adder declares, recorded in place of a parser.
+
+    It reads long option names (``action`` store or store_true), one
+    positional and one mutually exclusive group.  Any other keyword, method,
+    option form or a second positional or group raises ``_Unreadable``.
+    """
+
+    def __init__(self) -> None:
+        self.options: dict = {}  # "--name" -> (dest, store_true, type, choices, default)
+        self.required: list[str] = []  # dests
+        self.positional: tuple | None = None  # (dest, type, choices)
+        self.group: tuple | None = None  # (dests, required)
+
+    def __getattr__(self, name: str):
+        raise _Unreadable(f"parser method {name!r}")
+
+    def add_argument(self, *names: str, action: str = "store", **kwargs) -> str:
+        unread = set(kwargs) - _READ_KEYWORDS
+        if unread or action not in ("store", "store_true") or len(names) != 1:
+            raise _Unreadable(f"add_argument{names}")
+        name, kind, choices = names[0], kwargs.get("type"), kwargs.get("choices")
+        if not name.startswith("-"):
+            if self.positional or action != "store" or set(kwargs) - _POSITIONAL_KEYWORDS:
+                raise _Unreadable(f"positional {name!r}")
+            self.positional = (name, kind, choices)
+            return name
+        dest = kwargs.get("dest") or name[2:].replace("-", "_")
+        if not name.startswith("--") or name == "--" or dest in self.dests():
+            raise _Unreadable(f"option {name!r}")
+        flag = action == "store_true"
+        default = kwargs.get("default", False if flag else None)
+        self.options[name] = (dest, flag, kind, choices, default)
+        if kwargs.get("required"):
+            self.required.append(dest)
+        return dest
+
+    def add_mutually_exclusive_group(self, *, required: bool = False, **kwargs) -> SimpleNamespace:
+        if self.group or kwargs:
+            raise _Unreadable("a second mutually exclusive group or a group keyword")
+        dests: list[str] = []
+        self.group = (dests, required)
+
+        def add_argument(*names: str, **options) -> None:
+            if options.get("required") or not names[0].startswith("-"):
+                raise _Unreadable(f"group member {names[0]!r}")
+            dests.append(self.add_argument(*names, **options))
+
+        return SimpleNamespace(add_argument=add_argument)
+
+    def dests(self) -> list[str]:
+        return [dest for dest, *_ in self.options.values()]
+
+
+def declared_arguments(command: str) -> _Declared | None:
+    """What ``command``'s adder declares, or None if it declares what the reader cannot read."""
+    declared = _Declared()
+    try:
+        COMMANDS[command][1](declared)
+    except _Unreadable:
+        return None
+    return declared
+
+
+_DECLINE = object()
+
+
+def _converted(text: str, kind, choices):
+    """``text`` through ``kind`` if the value is one of ``choices``, else ``_DECLINE``."""
+    try:
+        value = text if kind is None else kind(text)
+    except Exception:  # argparse converts it again, and reports or raises as it always has
+        return _DECLINE
+    return value if choices is None or value in choices else _DECLINE
+
+
+def read_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The handler's arguments for a canonical command line, or None.
+
+    Canonical: ``argv[0]`` names a command, then only that command's full
+    option names follow, each at most once and, but for a store_true flag,
+    followed by one value that does not start with ``-``, plus the one
+    positional the command declares; every value passes its type and
+    choices, every required option is given and a required group has
+    exactly one member.  The result then holds what argparse would set,
+    defaults, ``command`` and ``func`` included.  None leaves ``argv`` to
+    argparse: help, ``--version``, ``--n=5``, an abbreviation, a repeated
+    option, ``--`` and every usage error read as they always have.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    declared = declared_arguments(argv[0])
+    if declared is None:
+        return None
+    given: dict = {}
+    texts = iter(argv[1:])
+    for text in texts:
+        if text in declared.options:
+            dest, flag, kind, choices, _ = declared.options[text]
+            if flag:
+                value = True
+            else:
+                text = next(texts, "-")
+                value = _DECLINE if text.startswith("-") else _converted(text, kind, choices)
+        elif text.startswith("-") or declared.positional is None:
+            return None
+        else:
+            dest, kind, choices = declared.positional
+            value = _converted(text, kind, choices)
+        if value is _DECLINE or dest in given:
+            return None
+        given[dest] = value
+    if declared.positional is not None and declared.positional[0] not in given:
+        return None
+    if any(dest not in given for dest in declared.required):
+        return None
+    if declared.group is not None:
+        dests, required = declared.group
+        count = sum(dest in given for dest in dests)
+        if count > 1 or (required and count == 0):
+            return None
+    values = {"command": argv[0]}
+    for dest, _, kind, _, default in declared.options.values():
+        # argparse passes the string default of an absent option through its type
+        if dest not in given and isinstance(default, str) and kind is not None:
+            default = _converted(default, kind, None)
+            if default is _DECLINE:
+                return None
+        values[dest] = default
+    values.update(given)
+    return SimpleNamespace(**values, func=COMMANDS[argv[0]][2])
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = read_canonical(argv)
+        if args is None:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()
         return status

@@ -7,9 +7,9 @@ seeds so two runs of the suite produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import os
 import random
 from fractions import Fraction
-from importlib import resources
 from typing import Callable, Iterable
 
 from . import bounds, gf4
@@ -19,7 +19,10 @@ Check = tuple[str, bool, str]
 
 
 def fixture_text(name: str) -> str:
-    return resources.files("qbounds.fixtures").joinpath(name).read_text()
+    # read beside this module: importlib.resources would import tempfile and shutil
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name)
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def fixture_manifest() -> dict:

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from qbounds.cli import (
 )
 from qbounds.errors import InvariantError, ParameterError, SolverError
 from qbounds.selftest import fixture_manifest, fixture_text
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 # sha256 of stdout, recorded from the power-basis / Sturm-chain implementation
 # that the integer Krawtchouk table replaced; output must stay byte-identical.
@@ -340,8 +343,105 @@ def test_argv_without_a_command_gets_every_subparser(argv):
     assert parser.format_help() == build_parser().format_help()
 
 
-@pytest.mark.parametrize("argv", ACCEPTED[:1] + [("lp", "--n", "5", "--d", "3")])
+def reader_or_argparse(argv):
+    """``vars`` of the reader's arguments for ``argv`` and of argparse's, or None for a decline."""
+    ours = cli.read_canonical(argv)
+    if ours is None:
+        return None
+    return vars(ours), vars(build_parser(argv[0]).parse_args(list(argv)))
+
+
+@pytest.mark.parametrize("argv", ACCEPTED + [argv for argv, _, _ in FAILURES],
+                         ids=lambda argv: " ".join(argv)[:40] or "no command")
+def test_reader_reads_argv_as_argparse(argv):
+    both = reader_or_argparse(argv)
+    # every accepted argv is canonical
+    assert both is not None or argv not in ACCEPTED
+    assert both is None or both[0] == both[1]
+
+
+def not_canonical(argv):
+    """Forms of ``argv`` that argparse reads or refuses but the reader must leave to it."""
+    command, rest = argv[0], list(argv[1:])
+    forms = [(command, "-h", *rest), (command, "--", *rest), (*argv, "--nope", "1")]
+    valued = [i for i, text in enumerate(rest) if text.startswith("--") and text != "--meta"]
+    if valued:
+        i = valued[0]
+        option, value = rest[i], rest[i + 1]
+        forms += [
+            (command, *rest[:i], f"{option}={value}", *rest[i + 2:]),
+            (*argv, option, value),
+            (command, *rest[:i + 1], f"-{value}", *rest[i + 2:]),
+        ]
+    names = [text for text in rest if text.startswith("--")]
+    if names and len(max(names, key=len)) > 3:
+        longest = max(names, key=len)
+        forms.append(tuple(text[:-1] if text == longest else text for text in argv))
+    for i, text in enumerate(rest[:-1]):
+        # a bad number; --K takes any text, which cli._query_K reads
+        if text.startswith("--") and text != "--K" and rest[i + 1].isdecimal():
+            forms.append((command, *rest[:i + 1], "x", *rest[i + 2:]))
+        if text in ("--format", "--id"):
+            forms.append((command, *rest[:i + 1], "nope", *rest[i + 2:]))
+    if command == "analyze":
+        # no code file, or two
+        forms += [(command, *rest[1:]), (*argv, "other.code")]
+    if command == "check":
+        size = next(i for i, text in enumerate(rest) if text in ("--k", "--K"))
+        forms += [(*argv, "--K" if rest[size] == "--k" else "--k", "2"),
+                  (command, *rest[:size], *rest[size + 2:])]
+    return forms
+
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=lambda argv: " ".join(argv)[:40])
+def test_reader_leaves_other_forms_to_argparse(argv):
+    forms = not_canonical(argv)
+    assert len(forms) >= 3 + 5 * (argv[0] in ("check", "lp", "table"))
+    assert [form for form in forms if cli.read_canonical(form) is not None] == []
+
+
+@pytest.fixture(scope="module")
+def bench_argvs():
+    """The argv of every op of the benchmark's four workloads at its default seed."""
+    # the op lists are read and built here so nothing is written under bench/
+    workloads = types.ModuleType("bench_workloads")
+    sys.modules[workloads.__name__] = workloads
+    try:
+        exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"),
+             workloads.__dict__)
+        seed = json.loads(WORKLOADS.with_name("shape.json").read_text())["default_seed"]
+        fixtures = Path(qbounds.__file__).parent / "fixtures"
+        return [tuple(op.argv) for name in workloads.WORKLOADS
+                for op in workloads.build(name, seed, fixtures).ops]
+    finally:
+        del sys.modules[workloads.__name__]
+
+
+def test_reader_reads_the_bench_argvs_as_argparse(bench_argvs):
+    assert {argv[0] for argv in bench_argvs} == {"check", "lp", "analyze", "curves"}
+    for argv in bench_argvs:
+        ours, theirs = reader_or_argparse(argv)
+        assert ours == theirs
+
+
+def test_main_builds_no_parser_for_the_bench_argvs(monkeypatch, bench_argvs):
+    def refuse(*_):
+        raise AssertionError("a parser was built")
+
+    commands = []
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        # the handler only records what it was called for, so no command runs
+        monkeypatch.setitem(COMMANDS, name, (help_text, add_arguments,
+                                             lambda args: commands.append(args.command) or 0))
+    assert {main(argv) for argv in bench_argvs} == {0}
+    assert commands == [argv[0] for argv in bench_argvs]
+
+
+@pytest.mark.parametrize("argv", [("lp", "--n", "5", "--d", "3"),
+                                  ("check", "--n=5", "--k", "1", "--d", "3"), ("lp", "-h")])
 def test_main_builds_one_subparser_for_a_command(capsys, monkeypatch, argv):
+    """A refused or help argv still gets argparse, with its command's subparser alone."""
     added = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -350,8 +450,73 @@ def test_main_builds_one_subparser_for_a_command(capsys, monkeypatch, argv):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
-    run(capsys, *argv)
+    try:
+        run(capsys, *argv)
+    except SystemExit:
+        pass
     assert added == [argv[0]]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED + [argv for argv, _, _ in FAILURES],
+                         ids=lambda argv: " ".join(argv)[:40] or "no command")
+def test_main_reports_the_same_with_or_without_the_reader(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, body in FAILURE_FILES.items():
+        (tmp_path / name).write_bytes(body)
+    (tmp_path / "five_qubit.code").write_text(fixture_text("five_qubit.code"), encoding="utf-8")
+    (tmp_path / "classical.csv").write_text(CLASSICAL_CSV, encoding="utf-8")
+    read = run(capsys, *argv)
+    monkeypatch.setattr(cli, "read_canonical", lambda argv: None)
+    assert run(capsys, *argv) == read
+
+
+def test_every_adder_declares_only_what_the_reader_reads():
+    for name in COMMANDS:
+        declared = cli.declared_arguments(name)
+        assert declared is not None, f"{name}: its adder declares what the reader cannot read"
+        options = {option for action in subparsers(build_parser(name))[name]._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert set(declared.options) == options
+
+
+def _typed_defaults(p):
+    p.add_argument("--x", type=int, default="7")
+    p.add_argument("--y", type=float, default=2)
+    p.add_argument("--z", type=int, default="not a number")
+
+
+@pytest.mark.parametrize("argv", [("lp", "--z", "3"), ("lp", "--x", "4", "--z", "5")])
+def test_reader_passes_a_string_default_through_its_type(monkeypatch, argv):
+    help_text, _, handler = COMMANDS["lp"]
+    monkeypatch.setitem(COMMANDS, "lp", (help_text, _typed_defaults, handler))
+    ours, theirs = reader_or_argparse(argv)
+    assert ours == theirs and (ours["x"], ours["y"]) == (int(argv[2]) if argv[1] == "--x" else 7, 2)
+    # an absent option whose string default its type refuses is left to argparse
+    assert cli.read_canonical(["lp", "--x", "4"]) is None
+
+
+def _two_groups(p):
+    p.add_mutually_exclusive_group().add_argument("--a")
+    p.add_mutually_exclusive_group().add_argument("--b")
+
+
+@pytest.mark.parametrize("add_arguments", [
+    lambda p: p.add_argument("--p", nargs=2),
+    lambda p: p.add_argument("--model", action="append"),
+    lambda p: p.add_argument("--model", const="x"),
+    lambda p: p.add_argument("-p", type=int),
+    lambda p: p.add_argument("--p", "-p", type=int),
+    lambda p: (p.add_argument("first"), p.add_argument("second")),
+    lambda p: p.add_argument_group("more").add_argument("--p"),
+    lambda p: p.add_mutually_exclusive_group(required=True).add_argument("--a", required=True),
+    _two_groups,
+], ids=["nargs", "append", "const", "short", "two-names", "two-positionals", "argument-group",
+        "required-member", "two-groups"])
+def test_reader_declines_an_adder_it_cannot_read(monkeypatch, add_arguments):
+    help_text, _, handler = COMMANDS["lp"]
+    monkeypatch.setitem(COMMANDS, "lp", (help_text, add_arguments, handler))
+    assert cli.declared_arguments("lp") is None
+    assert cli.read_canonical(["lp"]) is None
 
 
 def test_commands_register_every_handler_once():

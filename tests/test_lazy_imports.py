@@ -24,8 +24,10 @@ FIVE_QUBIT = SRC / "qbounds" / "fixtures" / "five_qubit.code"
 # csv, which only a `curves --classical-bound` table needs
 NOT_LOADED = ("qbounds.gf4", "qbounds.selftest", "random", "csv")
 # no command loads these: the package's records are NamedTuples and plain
-# classes, and importing dataclasses would pull in inspect, ast, dis and tokenize
-NOT_LOADED_BY_ANY = ("dataclasses", "inspect")
+# classes, and importing dataclasses would pull in inspect, ast, dis and tokenize;
+# cli reads a canonical command line without argparse, whose parser would load
+# gettext and, through its help formatter, shutil
+NOT_LOADED_BY_ANY = ("dataclasses", "inspect", "argparse", "gettext", "shutil")
 # and the one only `curves` needs
 NOT_LOADED_OUTSIDE_CURVES = NOT_LOADED + ("qbounds.asymptotic",)
 
@@ -127,6 +129,25 @@ def test_selftest_passes_from_a_fresh_interpreter():
     assert report["status"] == 0
     assert {"qbounds.selftest", "qbounds.bounds"} <= set(report["loaded"])
     assert [m for m in NOT_LOADED_BY_ANY if m in report["loaded"]] == []
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("--help",), 0),
+    (("lp", "--help"), 0),
+    (("lp", "--n=6", "--K", "2"), 2),
+], ids=["help", "lp-help", "refused"])
+def test_other_command_lines_still_go_through_argparse(argv, status):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "qbounds.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == status
+    if status == 0:
+        assert proc.stdout.startswith("usage: qbounds") and proc.stderr == ""
+    else:
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+        assert proc.stderr == "error: qbounds lp: the following arguments are required: --d\n"
 
 
 def test_every_export_is_its_defining_module_object():
